@@ -11,6 +11,7 @@ passing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +60,12 @@ class Edge:
     def __post_init__(self) -> None:
         if self.flow not in FLOWS:
             raise ValueError(f"unknown edge flow {self.flow!r}")
+
+
+#: per-node / per-edge fields of the compact pickle form, in the order
+#: :func:`_program_graph_from_wire` takes them back.
+_NODE_WIRE_FIELDS = attrgetter("kind", "text", "function", "block", "features")
+_EDGE_WIRE_FIELDS = attrgetter("source", "target", "flow", "position")
 
 
 class ProgramGraph:
@@ -180,6 +187,20 @@ class ProgramGraph:
             graph.add_edge(edge.source, edge.target, flow=edge.flow, position=edge.position)
         return graph
 
+    def __reduce__(self):
+        """Pickle as plain tuples rather than one dataclass per node/edge.
+
+        Graphs cross the replica pipe once per request, and the default
+        object-graph pickle of every :class:`Node`/:class:`Edge` instance
+        is both larger and slower to produce.  Node ids are positional
+        (``add_node`` assigns them), so they are not stored; the rebuild
+        in :func:`_program_graph_from_wire` validates kinds and flows the
+        way the constructors do.
+        """
+        nodes = tuple(map(_NODE_WIRE_FIELDS, self.nodes))
+        edges = tuple(map(_EDGE_WIRE_FIELDS, self.edges))
+        return _program_graph_from_wire, (self.name, nodes, edges, self.metadata)
+
     def __repr__(self) -> str:
         counts = self.edge_counts()
         return (
@@ -187,6 +208,27 @@ class ProgramGraph:
             f"{counts[FLOW_CONTROL]} control / {counts[FLOW_DATA]} data / "
             f"{counts[FLOW_CALL]} call edges>"
         )
+
+
+def _program_graph_from_wire(
+    name: str,
+    nodes: Iterable[Tuple[str, str, str, str, Dict[str, float]]],
+    edges: Iterable[Tuple[int, int, str, int]],
+    metadata: Dict[str, object],
+) -> ProgramGraph:
+    """Rebuild a graph from its :meth:`ProgramGraph.__reduce__` form;
+    an unknown node kind or edge flow raises :class:`ValueError`."""
+    graph = ProgramGraph(name)
+    graph.nodes = [
+        Node(index, kind, text, function, block, features)
+        for index, (kind, text, function, block, features) in enumerate(nodes)
+    ]
+    graph.edges = [
+        Edge(source, target, flow, position)
+        for source, target, flow, position in edges
+    ]
+    graph.metadata = metadata
+    return graph
 
 
 def merge_graphs(graphs: Iterable[ProgramGraph], name: str = "merged") -> ProgramGraph:

@@ -635,20 +635,24 @@ class ModelHub:
                 "path) to load() deployments declaratively"
             )
         # The shared cache backs every deployment that wants caching; a
-        # spec opting out gets no cache at all (not a private one), so
-        # cache telemetry stays one coherent table.
+        # spec opting out, or any spec on a hub built without a cache, gets
+        # no cache at all (not a private one), so cache telemetry stays one
+        # coherent table and a cache-less hub runs every request's batch.
         shared_cache = self.cache if spec.enable_cache else None
-        if spec.kind == "single":
+        single = spec.kind == "single"
+        config = spec.service_config() if single else spec.ensemble_config()
+        config.enable_cache = shared_cache is not None
+        if single:
             ref = self.registry.resolve(spec.artifact, spec.version)
             artifact = self.registry.load(ref.name, ref.version)
             predictor: ServingFrontend = PredictionService.from_artifact(
-                artifact, config=spec.service_config(), cache=shared_cache
+                artifact, config=config, cache=shared_cache
             )
         else:
             predictor = EnsemblePredictionService.from_registry(
                 self.registry.root,
                 spec.fold_group,
-                config=spec.ensemble_config(),
+                config=config,
                 folds=spec.folds,
                 cache=shared_cache,
             )

@@ -70,6 +70,8 @@ class ReplicaConfig:
 
     # -- per-worker hub knobs -------------------------------------------
     cache_capacity: int = 4096
+    #: off: the workers' hubs cache nothing, and the supervisor routes
+    #: least-pending instead of by graph affinity (nothing to keep hot).
     enable_cache: bool = True
     pool_workers: int = 2
     journal_dir: Optional[str] = None

@@ -8,14 +8,18 @@ the only way past the GIL for this CPU-bound inference stack.
 
 Routing, lifecycle and failure handling live here:
 
-* **Affinity routing.**  Requests are placed by rendezvous (highest-
-  random-weight) hashing of the graph's content fingerprint over the
-  ready slots: the same graph always lands on the same replica while the
-  pool membership is stable, so each worker's ``EmbeddingCache`` stays
-  hot instead of every replica relearning every graph.  Affinity is keyed
-  on the *slot index*, which survives respawns — and the respawned worker
-  warm-starts from the slot's checkpoint dump, so the cache the routing
-  kept hot is handed back to the replacement.
+* **Affinity routing.**  When the workers run with a cache, requests
+  are placed by rendezvous (highest-random-weight) hashing of the graph's
+  content fingerprint over the ready slots: the same graph always lands
+  on the same replica while the pool membership is stable, so each
+  worker's ``EmbeddingCache`` stays hot instead of every replica
+  relearning every graph.  Affinity is keyed on the *slot index*, which
+  survives respawns — and the respawned worker warm-starts from the
+  slot's checkpoint dump, so the cache the routing kept hot is handed
+  back to the replacement.  Keeping a cache hot is affinity's only
+  purpose, so without one (``enable_cache=False``) no key is computed
+  and every request goes to the replica with the fewest pending calls;
+  a ``predict_many`` batch is dealt evenly over the ready replicas.
 * **Lifecycle.**  Spawn → ready-handshake (with a fatal path, so a
   misconfigured worker fails the boot loudly instead of hanging it);
   heartbeat pings with a timeout-kill; automatic respawn of dead slots;
@@ -76,6 +80,9 @@ _RPC_TIMEOUT_S = 60.0
 
 def request_affinity_key(request) -> Optional[str]:
     """Content hash of a program graph, for rendezvous routing.
+
+    Used only when the workers run with a cache, which affinity exists to
+    keep hot; a cache-less pool routes least-pending and never calls this.
 
     This is deliberately *not* the model-layer
     :func:`~repro.graphs.fingerprint.graph_fingerprint` (which needs the
@@ -451,12 +458,12 @@ class ReplicaSupervisor:
         self._dispatch_call(call)
 
     # ------------------------------------------------------------- dispatch
-    def _pick(
-        self, key: Optional[str], excluded: Set[int]
-    ) -> Optional[_ReplicaHandle]:
+    def _ready_by_load(self, excluded: Set[int]) -> List[_ReplicaHandle]:
+        """Ready handles outside ``excluded``, least pending calls first
+        (slot index breaks ties)."""
         with self._routing:
             handles = [h for h in self._handles if h is not None]
-        candidates: List[Tuple[_ReplicaHandle, int]] = []
+        candidates: List[Tuple[int, int, _ReplicaHandle]] = []
         for handle in handles:
             if handle.slot in excluded:
                 continue
@@ -464,15 +471,21 @@ class ReplicaSupervisor:
                 if handle.state != "ready":
                     continue
                 load = len(handle.pending)
-            candidates.append((handle, load))
+            candidates.append((load, handle.slot, handle))
+        candidates.sort(key=lambda item: item[:2])
+        return [handle for _, _, handle in candidates]
+
+    def _pick(
+        self, key: Optional[str], excluded: Set[int]
+    ) -> Optional[_ReplicaHandle]:
+        candidates = self._ready_by_load(excluded)
         if not candidates:
             return None
         if key is None:
-            # No affinity: least-loaded wins (slot index breaks ties).
-            return min(candidates, key=lambda item: (item[1], item[0].slot))[0]
+            return candidates[0]  # no affinity: least-loaded wins
         best: Optional[_ReplicaHandle] = None
         best_weight = b""
-        for handle, _ in candidates:
+        for handle in candidates:
             weight = hashlib.sha256(f"{key}:{handle.slot}".encode()).digest()
             if best is None or weight > best_weight:
                 best, best_weight = handle, weight
@@ -558,10 +571,10 @@ class ReplicaSupervisor:
     # ------------------------------------------------------------ prediction
     def submit(self, name: Optional[str], request) -> Future:
         canonical = self._resolve_name(name, for_predict=True)
+        # No cache, nothing for affinity to keep hot: route least-pending.
+        key = request_affinity_key(request) if self._config.enable_cache else None
         call = self._dispatch(
-            OP_SUBMIT,
-            {"model": canonical, "request": request},
-            key=request_affinity_key(request),
+            OP_SUBMIT, {"model": canonical, "request": request}, key=key
         )
         return call.future
 
@@ -573,17 +586,12 @@ class ReplicaSupervisor:
         requests = list(requests)
         if not requests:
             return []
-        # Group by the affinity-chosen replica, one RPC per group — batch
-        # members keep their cache affinity without one-RPC-per-graph cost.
-        groups: Dict[int, List[int]] = {}
-        for index, request in enumerate(requests):
-            handle = self._pick(request_affinity_key(request), set())
-            if handle is None:
-                raise ReplicaUnavailableError(
-                    "no ready replica available for 'predict_many' "
-                    f"(pool of {self._config.replicas})"
-                )
-            groups.setdefault(handle.slot, []).append(index)
+        groups = self._group_by_slot(requests)
+        if groups is None:
+            raise ReplicaUnavailableError(
+                "no ready replica available for 'predict_many' "
+                f"(pool of {self._config.replicas})"
+            )
         calls: List[Tuple[_PendingCall, List[int]]] = []
         for slot in sorted(groups):
             indices = groups[slot]
@@ -613,6 +621,35 @@ class ReplicaSupervisor:
         if first_exc is not None:
             raise first_exc
         return results
+
+    def _group_by_slot(
+        self, requests: List[object]
+    ) -> Optional[Dict[int, List[int]]]:
+        """Request indices per target slot (one RPC per group), or
+        ``None`` when no replica is ready.
+
+        With a cache, each member goes to its affinity-chosen replica, so
+        batch members keep their cache affinity without one-RPC-per-graph
+        cost.  Without one, the members are dealt round-robin over the
+        ready replicas, least-loaded first, so group sizes differ by at
+        most one: picking least-pending per member would put them all on
+        one replica, since nothing is sent until every member is placed.
+        """
+        groups: Dict[int, List[int]] = {}
+        if not self._config.enable_cache:
+            handles = self._ready_by_load(set())
+            if not handles:
+                return None
+            for index in range(len(requests)):
+                slot = handles[index % len(handles)].slot
+                groups.setdefault(slot, []).append(index)
+            return groups
+        for index, request in enumerate(requests):
+            handle = self._pick(request_affinity_key(request), set())
+            if handle is None:
+                return None
+            groups.setdefault(handle.slot, []).append(index)
+        return groups
 
     # ----------------------------------------------------------------- admin
     def _ready_handles(self) -> List[_ReplicaHandle]:

@@ -82,7 +82,10 @@ _DECODERS: Dict[str, type] = {kind: type_ for kind, type_ in _KINDS}
 #: payload.  Declarative on purpose: the ``pickle-safety`` lint rule
 #: walks each class (transitively) and rejects process-local state —
 #: locks, threads, open files — before it can blow up inside a pickle
-#: call under load.
+#: call under load.  A :class:`ProgramGraph` pickles in a compact form
+#: (``ProgramGraph.__reduce__``): plain per-node and per-edge tuples of
+#: the :class:`Node`/:class:`Edge` fields, rebuilt and validated
+#: worker-side, so those two cross as their fields, not as instances.
 WIRE_TYPES: Tuple[type, ...] = (
     ReplicaConfig,
     ProgramGraph,

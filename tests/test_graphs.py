@@ -1,5 +1,7 @@
 """Tests for ProGraML-style graph construction, encoding and batching."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,3 +404,66 @@ class TestFingerprint:
             relations={**encoded.relations, "control": np.zeros((2, 0), dtype=np.int64)},
         )
         assert graph_fingerprint(mutated_edges) != baseline
+
+
+class _ForgedGraphPickle:
+    """Pickles as a tampered :meth:`ProgramGraph.__reduce__` payload."""
+
+    def __init__(self, graph, node_kind=None, edge_flow=None):
+        rebuild, (name, nodes, edges, metadata) = graph.__reduce__()
+        if node_kind is not None:
+            nodes = ((node_kind,) + nodes[0][1:],) + nodes[1:]
+        if edge_flow is not None:
+            edges = (edges[0][:2] + (edge_flow,) + edges[0][3:],) + edges[1:]
+        self._reduced = (rebuild, (name, nodes, edges, metadata))
+
+    def __reduce__(self):
+        return self._reduced
+
+
+class TestPickleWireForm:
+    """``ProgramGraph`` pickles in a compact tuple form (it rides the
+    replica pipe once per request); the round trip must be lossless."""
+
+    @pytest.fixture()
+    def graph(self, dot_module):
+        graph = build_graph(dot_module)
+        graph.metadata.update({"region": "dot", "sequence": ["-O2"], "label": 3})
+        assert any(node.features for node in graph.nodes)
+        return graph
+
+    def test_round_trip_keeps_every_field(self, graph):
+        restored = pickle.loads(pickle.dumps(graph))
+        assert restored is not graph
+        assert restored.name == graph.name
+        assert restored.metadata == graph.metadata
+        assert restored.nodes == graph.nodes  # id, kind, text, function, block, features
+        assert restored.edges == graph.edges
+        assert restored.validate() == []
+
+    def test_round_trip_keeps_model_inputs(self, graph):
+        restored = pickle.loads(pickle.dumps(graph))
+        expected = graph.relation_edge_arrays()
+        arrays = restored.relation_edge_arrays()
+        assert sorted(arrays) == sorted(expected)
+        for relation, edges in expected.items():
+            np.testing.assert_array_equal(arrays[relation], edges)
+        encoder = GraphEncoder()
+        assert graph_fingerprint(encoder.encode(restored)) == graph_fingerprint(
+            encoder.encode(graph)
+        )
+
+    def test_compact_form_is_smaller_than_the_object_graph(self, graph):
+        # What the default pickle carries: one dataclass instance per node
+        # and edge, every field name spelled out.
+        assert len(pickle.dumps(graph)) < len(pickle.dumps(graph.__dict__))
+
+    def test_unknown_node_kind_is_rejected_on_load(self, graph):
+        payload = pickle.dumps(_ForgedGraphPickle(graph, node_kind="register"))
+        with pytest.raises(ValueError, match="unknown node kind"):
+            pickle.loads(payload)
+
+    def test_unknown_edge_flow_is_rejected_on_load(self, graph):
+        payload = pickle.dumps(_ForgedGraphPickle(graph, edge_flow="alias"))
+        with pytest.raises(ValueError, match="unknown edge flow"):
+            pickle.loads(payload)

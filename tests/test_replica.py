@@ -23,6 +23,7 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import StaticConfigurationPredictor, StaticModelConfig
@@ -39,6 +40,7 @@ from repro.serving import (
     program_graph_to_dict,
 )
 from repro.serving.http import ERROR_CODES
+from repro.serving.replica import supervisor as supervisor_module
 from repro.serving.replica import (
     DrainingError,
     ReplicaConfig,
@@ -332,6 +334,65 @@ class TestJournalIsolation:
         # A reader over the *root* unifies the pool's journals.
         merged = list(JournalReader(str(journal_root)).records())
         assert len(merged) == total
+
+
+class TestCachelessRouting:
+    """Affinity exists only to keep each worker's cache hot; a pool whose
+    workers have no cache spreads repeats of one graph over the replicas."""
+
+    def test_predict_many_deals_repeats_evenly(
+        self, registry_root, raw_graphs, tmp_path, monkeypatch
+    ):
+        def no_key_expected(request):
+            raise AssertionError("affinity key computed for a cache-less pool")
+
+        monkeypatch.setattr(supervisor_module, "request_affinity_key", no_key_expected)
+        journal_root = tmp_path / "journal"
+        config = make_config(
+            registry_root, enable_cache=False, journal_dir=str(journal_root)
+        )
+        repeats = 9
+        others = raw_graphs[1:]
+        with ReplicaSupervisor(config) as pool:
+            repeated = pool.predict_many("demo", [raw_graphs[0]] * repeats)
+            pooled = pool.predict_many("demo", others)
+
+        # Predictions are those of an in-process hub.
+        hub = ModelHub(registry_root, enable_cache=False)
+        hub.load(DeploymentSpec(name="demo", artifact="demo"))
+        expected = hub.predict_many("demo", others)
+        hub.stop()
+        assert [r.label for r in pooled] == [r.label for r in expected]
+        for got, want in zip(pooled, expected):
+            np.testing.assert_allclose(got.probabilities, want.probabilities)
+
+        # The repeats went out as two groups whose sizes differ by <= 1.
+        fingerprint = repeated[0].fingerprint
+        assert fingerprint not in {r.fingerprint for r in pooled}
+        sizes = [
+            sum(
+                record["fingerprint"] == fingerprint
+                for record in JournalReader(str(journal_root / slot)).records()
+            )
+            for slot in ("replica-00", "replica-01")
+        ]
+        assert sum(sizes) == repeats
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_threaded_repeats_reach_both_replicas(self, registry_root, raw_graphs):
+        config = make_config(registry_root, enable_cache=False)
+        with ReplicaSupervisor(config) as pool:
+            pack, labels, errors = run_burst(
+                pool, raw_graphs[:1], per_thread=10, threads=4
+            )
+            for thread in pack:
+                thread.join(timeout=60)
+            assert errors == []
+            assert len(labels) == 40
+            assert wait_until(
+                lambda: sum(s["served"] for s in pool.replica_status()) == 40
+            ), pool.replica_status()
+            assert all(s["served"] > 0 for s in pool.replica_status())
 
 
 # ------------------------------------------------------------- lifecycle

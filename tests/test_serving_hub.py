@@ -470,6 +470,19 @@ class TestModelHub:
         assert len(hub.cache) == 0
         hub.stop()
 
+    def test_cacheless_hub_gives_deployments_no_private_cache(
+        self, registry_root, raw_graphs
+    ):
+        hub = ModelHub(registry_root, enable_cache=False)
+        hub.load(DeploymentSpec(name="demo", artifact="demo"))
+        hub.load(DeploymentSpec(name="ens", fold_group="ens"))
+        for name in ("demo", "ens"):
+            assert hub.resolve(name).predictor.cache is None
+            hub.predict(name, raw_graphs[0])
+            assert not hub.predict(name, raw_graphs[0]).cache_hit
+        assert hub.snapshot()["cache"] is None
+        hub.stop()
+
     def test_snapshot_aggregates_across_models(self, registry_root, raw_graphs):
         hub = self.make_hub(registry_root)
         hub.load(DeploymentSpec(name="demo", artifact="demo"))
