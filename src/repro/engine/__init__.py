@@ -12,9 +12,10 @@ package is the inference-time counterpart, built around two ideas:
   overlap with each other *and* with a training step on the same weights.
 
 :class:`StackedFoldModel` extends that to whole ensembles: F folds'
-relation weights stacked into ``(F, in, out)`` tensors, one batched matmul
-per weight and one CSR sweep per relation per layer for all folds at once,
-bit-identical to the per-fold forwards.
+weights stacked into ``(F, in, out)`` tensors and evaluated in one call
+over one shared plan (node-level work fold by fold over reused buffers,
+the graph-level head as one batched matmul per weight), bit-identical to
+the per-fold forwards.
 
 Concurrency contract: nothing in this package holds mutable state between
 calls — no locks are needed anywhere above it, which is why the serving

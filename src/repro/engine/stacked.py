@@ -4,28 +4,36 @@ A k-fold ensemble answers every request with k structurally identical
 RGCN forward passes over the *same* collated batch — same adjacency, same
 pooling segments, different weights.  :class:`StackedFoldModel` exploits
 that: every weight of the F folds is stacked into one ``(F, in, out)``
-tensor at construction, activations live in one contiguous ``(F, n, d)``
-stack, and a single :meth:`infer` call evaluates Equation (1) of the paper
-for all folds at once:
+tensor at construction, and a single :meth:`infer` call evaluates
+Equation (1) of the paper for all folds over one shared plan:
 
-* the embedding lookup is one gather from the ``(F, V, d)`` stacked table,
-  and every fold-dense transform (self-loop, extra-feature projection,
-  pooling projection, feed-forward block, classifier head) is one batched
-  ``np.matmul`` against the stacked weight — one call per weight instead
-  of one per fold;
-* the per-relation propagation accumulates fold by fold over contiguous
-  ``(n, d)`` slices of the stack.  This is deliberate: each fold's
-  activations (a few MB) stay cache-resident across the relation sweep,
-  which profiles faster on serving hardware than fanning the sparse
-  matmat over a fold-concatenated ``(n, F*d)`` operand that has to stream
-  from main memory (measured ~1.4x end to end on the 64-request burst).
+* node-level work (embedding gather, extra-feature projection, every RGCN
+  layer, pooling) runs fold by fold over four ``(n, d)`` scratch buffers
+  reused for every fold and layer (1.6 MB each for the 64-request
+  benchmark burst's 4,073 nodes), so one fold's activations stay
+  cache-resident through its whole sweep and no ``(F, n, d)`` stack is
+  ever allocated.  Batched ``(F, n, d)`` transforms streamed every
+  elementwise pass and GEMM through main memory and faulted in fresh
+  8 MB arrays on every call: on a 2-core box that 5-fold burst took
+  83 ms that way against 69-74 ms for a plain loop over the folds' own
+  models, and 69-75 ms fold by fold;
+* graph-level work (pooling projection, feed-forward block, norm,
+  classifier head) is one batched ``np.matmul`` per weight over the small
+  ``(F, B, d)`` pooled stack;
+* every dense product runs on numpy's BLAS.  scipy wheels ship a second
+  OpenBLAS with its own worker pool; after a call its workers spin for a
+  while, so alternating the two libraries in one sweep keeps two pools
+  spinning against the thread doing the work (the same burst took
+  120-130 ms that way, 92 ms on numpy alone).
 
-Parity is bit-for-bit: ``np.matmul`` over an ``(F, n, d)`` stack runs the
-same GEMM per 2-D slice as the per-fold ``x @ W``; the sparse and scatter
-(pooling) accumulations visit the same elements in the same order; and
-every elementwise add/ReLU/normalisation matches the per-fold expression.
-Stacked logits therefore equal the per-fold :meth:`StaticRGCNModel.infer`
-logits exactly (asserted in ``tests/test_engine.py``).
+Parity is bit-for-bit: each fold runs the per-fold expressions (``x @ W``
+into a buffer, then the add; the same relation order; the shared
+:func:`~repro.gnn.pooling.pool_segments` kernel), ``np.matmul`` over the
+``(F, B, d)`` head stack runs the same GEMM per 2-D slice as the per-fold
+``x @ W``, and every elementwise add/ReLU/normalisation matches the
+per-fold expression.  Stacked logits therefore equal the per-fold
+:meth:`StaticRGCNModel.infer` logits exactly (asserted in
+``tests/test_engine.py``).
 
 The stacked model is **stateless** (weights are snapshotted copies, no
 activation caches): any number of threads may call :meth:`infer`
@@ -53,27 +61,20 @@ try:  # scipy's C kernel, used directly so sparse results land in reused
 except (ImportError, AttributeError):  # pragma: no cover - scipy internals moved
     _CSR_MATVECS = None
 
-try:  # raw BLAS gemm for fused multiply-accumulate: ``c += a @ b`` in one
-    # kernel call.  beta only changes the final write of each C entry from
-    # a store to one IEEE add of the same dot product, so the result is
-    # bit-identical to ``c += numpy.matmul(a, b)`` — asserted by the
-    # engine parity tests.
-    from scipy.linalg.blas import dgemm as _DGEMM
-except ImportError:  # pragma: no cover - scipy without BLAS wrappers
-    _DGEMM = None
 
+def _gemm_accumulate(
+    out: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray
+) -> None:
+    """``out += a @ b`` with the product landing in a reused ``scratch``.
 
-def _gemm_accumulate(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``out += a @ b`` for C-contiguous float64 2-D arrays.
-
-    Runs as one dgemm with ``beta=1`` on the transposed (Fortran-order)
-    views — ``out.T = b.T @ a.T + out.T`` — so no operand is copied and
-    the separate add pass disappears.
+    Literally the per-fold expression (numpy's GEMM, then one add), so the
+    bits match :meth:`RGCNLayer.infer`.  It stays on numpy's BLAS on
+    purpose: scipy wheels bundle their own OpenBLAS with its own thread
+    pool, and mixing the two in one sweep leaves one pool's workers
+    spinning while the other runs (see the module docstring).
     """
-    if _DGEMM is None:
-        out += a @ b
-        return
-    _DGEMM(1.0, b.T, a.T, beta=1.0, c=out.T, overwrite_c=True)
+    np.matmul(a, b, out=scratch)
+    np.add(out, scratch, out=out)
 
 
 def _spmm_into(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -189,38 +190,48 @@ class StackedFoldModel:
         consume).  ``logits[:, f]`` is bit-identical to fold ``f``'s own
         :meth:`StaticRGCNModel.infer` over the same plan.
         """
-        num_folds = self.num_folds
         n = plan.num_nodes
-        # Scratch buffers reused across the whole sweep (allocated per call,
-        # so concurrent infer() calls stay fully isolated — statelessness is
-        # the engine's contract).  Reuse turns ~60 short-lived multi-MB
-        # allocations per sweep into two, which profiles measurably faster.
-        ax_buf = np.empty((n, self.hidden_dim))
-        x = self._embed[:, plan.token_ids, :]  # (F, n, d) gather
-        tmp = np.matmul(plan.extra_features, self._extra_w)
-        np.add(tmp, self._extra_b, out=tmp)
-        np.add(x, tmp, out=x)  # x = embed + (extra @ W + b), as the layers
-        for self_w, rel_w, bias in zip(self._self_w, self._rel_w, self._rgcn_b):
-            out = np.matmul(x, self_w)  # one batched GEMM for all folds
-            # Fold-outer, relation-inner: one fold's (n, d) activation slice
-            # stays cache-resident across the whole relation sweep (the
-            # adjacency matrices are shared and small).  Per element the
-            # accumulation still applies the relations in the per-fold
-            # layer's order, so the bits match exactly.
-            propagated = [
-                (plan.adjacency.get(rel), rel_w[rel]) for rel in self.relations
-            ]
-            for fold in range(num_folds):
-                x_fold, out_fold = x[fold], out[fold]
-                for matrix, weights in propagated:
+        d = self.hidden_dim
+        # Node-level work runs fold by fold over four (n, d) scratch buffers
+        # reused for every fold and layer: one fold's activations stay
+        # cache-resident through its whole sweep, and nothing of size
+        # (F, n, d) is ever allocated.  The buffers are allocated per call,
+        # so concurrent infer() calls stay fully isolated (statelessness is
+        # the engine's contract).
+        x = np.empty((n, d))
+        out = np.empty((n, d))
+        ax_buf = np.empty((n, d))
+        mm_buf = np.empty((n, d))
+        layers = [
+            (self_w, [rel_w[rel] for rel in self.relations], bias)
+            for self_w, rel_w, bias in zip(self._self_w, self._rel_w, self._rgcn_b)
+        ]
+        adjacency = [plan.adjacency.get(rel) for rel in self.relations]
+        pooled = np.empty((self.num_folds, plan.num_graphs, d))
+        for fold in range(self.num_folds):
+            # x = embed + (extra @ W + b), as the embedding/projection layers
+            np.take(self._embed[fold], plan.token_ids, axis=0, out=x)
+            np.matmul(plan.extra_features, self._extra_w[fold], out=mm_buf)
+            np.add(mm_buf, self._extra_b[fold], out=mm_buf)
+            np.add(x, mm_buf, out=x)
+            for self_w, rel_ws, bias in layers:
+                np.matmul(x, self_w[fold], out=out)
+                # Relations in the per-fold layer's order, so the bits match.
+                for matrix, weights in zip(adjacency, rel_ws):
                     if matrix is None:
                         continue
-                    ax = _spmm_into(matrix, x_fold, ax_buf)
-                    _gemm_accumulate(out_fold, ax, weights[fold])
-            np.add(out, bias, out=out)
-            np.multiply(out, out > 0.0, out=out)  # ReLU, same expression
-            x = out
-        pooled = self._pool(x, plan)  # (F, B, d)
+                    ax = _spmm_into(matrix, x, ax_buf)
+                    _gemm_accumulate(out, ax, weights[fold], mm_buf)
+                np.add(out, bias[fold], out=out)
+                np.multiply(out, out > 0.0, out=out)  # ReLU, same expression
+                x, out = out, x
+            pooled[fold] = pool_segments(
+                x,
+                plan.graph_index,
+                plan.num_graphs,
+                plan.pool_counts,
+                self._pool_mode,
+            )
         projected = np.matmul(pooled, self._pool_w) + self._pool_b
         ff = np.matmul(projected, self._ff1_w) + self._ff1_b
         ff = ff * (ff > 0.0)
@@ -235,23 +246,3 @@ class StackedFoldModel:
             np.ascontiguousarray(np.swapaxes(logits, 0, 1)),  # (B, F, L)
             np.ascontiguousarray(np.swapaxes(graph_vectors, 0, 1)),  # (B, F, D)
         )
-
-    # -------------------------------------------------------------- internals
-    def _pool(self, x: np.ndarray, plan: ExecutionPlan) -> np.ndarray:
-        """Per-fold readout over the plan's segments, ``(F, B, hidden)``.
-
-        Each fold runs the shared :func:`~repro.gnn.pooling.pool_segments`
-        kernel over its contiguous ``(n, d)`` slice — literally the same
-        call as :meth:`GlobalPool.infer`, so the accumulation order (hence
-        the bits) matches the per-fold path by construction.
-        """
-        pooled = np.empty((self.num_folds, plan.num_graphs, x.shape[2]))
-        for fold in range(self.num_folds):
-            pooled[fold] = pool_segments(
-                x[fold],
-                plan.graph_index,
-                plan.num_graphs,
-                plan.pool_counts,
-                self._pool_mode,
-            )
-        return pooled

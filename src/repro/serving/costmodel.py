@@ -13,8 +13,9 @@ model.  The model is deliberately analytic — three affine stage models over
 and ``predict_batch_latency`` is their clamped sum.  The factors are not
 guessed: :class:`CostModelCalibrator` fits them by least squares over the
 per-stage spans the prediction journal already records for every served
-batch (``JournalReader.calibration_rows``), so the model tracks the box it
-runs on.  A fitted model round-trips through the artifact registry
+batch (``JournalReader.calibration_rows``), refitting without the spans
+whose residual is an outlier (a GC pause or a preempted thread), so the
+model tracks the box it runs on.  A fitted model round-trips through the artifact registry
 (:func:`save_cost_model` / :func:`load_cost_model`) as a versioned
 ``cost-model`` artifact, which is what makes it hot-reloadable on a hub.
 
@@ -197,10 +198,42 @@ class LatencyCostModel:
 # ------------------------------------------------------------- calibration
 
 
+#: A span is an outlier when its residual lies more than this many
+#: standard deviations from the median residual (the standard deviation
+#: estimated robustly, as 1.4826 x the median absolute deviation).
+_OUTLIER_SIGMAS = 3.0
+#: Refits at most this often; the inlier set normally settles in one or two.
+_MAX_REFITS = 5
+
+
 def _lstsq(rows: List[Sequence[float]], targets: List[float]) -> Tuple[float, ...]:
+    """Least squares, refit without outlier spans until the inliers settle.
+
+    A span that a GC pause, a preempted thread or another process's burst
+    landed on can be ten times its batch's usual cost.  Plain least
+    squares bends every coefficient towards such a point, and then
+    mispredicts the ordinary batches (on a shared 2-core box one pause
+    among 40 batches took the in-sample error from ~0.2 past 0.5).  The
+    fit therefore drops the spans whose residual is an outlier and solves
+    again over the rest, while enough rows remain to determine it.
+    """
     matrix = np.asarray(rows, dtype=np.float64)
     vector = np.asarray(targets, dtype=np.float64)
     solution, _, _, _ = np.linalg.lstsq(matrix, vector, rcond=None)
+    inliers = np.ones(len(vector), dtype=bool)
+    for _ in range(_MAX_REFITS):
+        residuals = vector - matrix @ solution
+        center = np.median(residuals[inliers])
+        spread = 1.4826 * np.median(np.abs(residuals[inliers] - center))
+        if spread <= 0.0:
+            break
+        kept = np.abs(residuals - center) <= _OUTLIER_SIGMAS * spread
+        if kept.sum() <= matrix.shape[1] or np.array_equal(kept, inliers):
+            break
+        inliers = kept
+        solution, _, _, _ = np.linalg.lstsq(
+            matrix[inliers], vector[inliers], rcond=None
+        )
     return tuple(float(value) for value in solution)
 
 

@@ -373,7 +373,7 @@ class EnsemblePredictionService(ServingFrontend):
             probabilities=probabilities,
             mean_vector=stacked_vectors.mean(axis=0),
             fold_argmax=np.argmax(stacked_logits, axis=1),
-            stacked_vectors=stacked_vectors,
+            needs_profiling=self._needs_profiling(stacked_vectors[None])[0],
             cache_hit=cache_hit,
             latency_s=latency_s,
         )
@@ -403,6 +403,7 @@ class EnsemblePredictionService(ServingFrontend):
             combined = [self._combine(row[0]) for row in rows]
             labels = [label for label, _ in combined]
             all_probabilities = [probabilities for _, probabilities in combined]
+        needs_profiling = self._needs_profiling(stacked_vectors)
         return [
             self._assemble_result(
                 graph,
@@ -411,7 +412,7 @@ class EnsemblePredictionService(ServingFrontend):
                 probabilities=all_probabilities[i],
                 mean_vector=mean_vectors[i],
                 fold_argmax=fold_argmax[i],
-                stacked_vectors=stacked_vectors[i],
+                needs_profiling=needs_profiling[i],
                 cache_hit=hit,
                 latency_s=latency,
             )
@@ -428,7 +429,7 @@ class EnsemblePredictionService(ServingFrontend):
         probabilities: np.ndarray,
         mean_vector: np.ndarray,
         fold_argmax: np.ndarray,
-        stacked_vectors: np.ndarray,
+        needs_profiling: Optional[bool],
         cache_hit: bool,
         latency_s: float,
     ) -> EnsemblePredictionResult:
@@ -441,7 +442,6 @@ class EnsemblePredictionService(ServingFrontend):
             if self.label_space is not None
             else None
         )
-        needs_profiling = self._needs_profiling(stacked_vectors)
         return EnsemblePredictionResult(
             name=graph.name,
             fingerprint=fingerprint,
@@ -459,15 +459,23 @@ class EnsemblePredictionService(ServingFrontend):
             latency_s=latency_s,
         )
 
-    def _needs_profiling(self, stacked_vectors: np.ndarray) -> Optional[bool]:
-        """Majority vote of the members' hybrid classifiers (None if none)."""
-        votes: List[bool] = []
+    def _needs_profiling(self, stacked_vectors: np.ndarray) -> List[Optional[bool]]:
+        """Majority vote of the members' hybrid classifiers, per row.
+
+        ``stacked_vectors`` is ``(B, F, D)``; each member's classifier runs
+        once over its ``(B, D)`` slice (the trees are row-wise, so this is
+        the same vote as one call per request).  ``None`` rows when no
+        member has a hybrid classifier.
+        """
+        votes = np.zeros(len(stacked_vectors), dtype=np.int64)
+        voters = 0
         for idx, artifact in enumerate(self._members.values()):
             if artifact.hybrid is None:
                 continue
-            votes.append(bool(artifact.hybrid.needs_dynamic(stacked_vectors[idx][None, :])[0]))
-        if not votes:
-            return None
+            votes += artifact.hybrid.needs_dynamic(stacked_vectors[:, idx, :])
+            voters += 1
+        if not voters:
+            return [None] * len(stacked_vectors)
         # Ties fall to True: when the folds are split, profiling is the
         # conservative answer (same spirit as the hybrid model's threshold).
-        return sum(votes) * 2 >= len(votes)
+        return [bool(count * 2 >= voters) for count in votes]

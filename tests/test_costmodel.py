@@ -263,6 +263,35 @@ class TestCalibration:
             expected, rel=0.02
         )
 
+    def test_pause_hit_spans_do_not_bend_the_fit(self):
+        # Timing jitter of a few percent on every span, plus three batches
+        # whose infer span (and so their latency) absorbed a 50 ms pause.
+        rng = np.random.default_rng(3)
+        records = synthetic_records(batches=40)
+        by_seq = {}
+        for record in records:
+            by_seq.setdefault(record["batch"]["seq"], []).append(record)
+        for seq, members in by_seq.items():
+            jitter = float(rng.uniform(0.97, 1.03))
+            pause = 0.05 if seq in (5, 17, 33) else 0.0
+            stages = {
+                "plan_build_s": members[0]["stages"]["plan_build_s"] * jitter,
+                "infer_s": members[0]["stages"]["infer_s"] * jitter + pause,
+            }
+            latency = members[0]["latency_s"] * jitter + pause
+            for member in members:
+                member["stages"] = stages
+                member["latency_s"] = latency
+        model = CostModelCalibrator(min_batches=8).fit(records)
+        assert model.infer == pytest.approx(TRUE_INFER, rel=0.15, abs=2e-5)
+        probe = PlanShape(4, 120, 300, 3)
+        clean = CostModelCalibrator(min_batches=8).fit(synthetic_records(batches=40))
+        assert model.predict_batch_latency(probe, folds=2) == pytest.approx(
+            clean.predict_batch_latency(probe, folds=2), rel=0.05
+        )
+        # The paused batches still count against the in-sample error.
+        assert 0.0 < model.meta["mape"] <= 0.35
+
     def test_duplicate_records_count_once(self):
         records = synthetic_records(batches=10)
         rows = CostModelCalibrator(min_batches=2).rows(records)

@@ -185,6 +185,18 @@ class TestStackedFoldParity:
             assert np.array_equal(stacked_logits[:, fold], logits)
             assert np.array_equal(stacked_vectors[:, fold], vectors)
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_stacked_parity_across_layer_counts(self, batch, layers):
+        # The sweep swaps two activation buffers per layer: an odd count
+        # ends on the other buffer, and the next fold overwrites both.
+        models = make_models(num_rgcn_layers=layers)
+        plan = build_plan(batch)
+        stacked_logits, stacked_vectors = StackedFoldModel(models).infer(plan)
+        for fold, model in enumerate(models):
+            logits, vectors = model.infer(plan)
+            assert np.array_equal(stacked_logits[:, fold], logits)
+            assert np.array_equal(stacked_vectors[:, fold], vectors)
+
     def test_stacked_equals_legacy_forward_bitwise(self, batch):
         """The full chain: stacked engine == per-fold infer == eval forward."""
         models = make_models()

@@ -12,7 +12,9 @@ from repro.core import (
     StaticConfigurationPredictor,
     StaticModelConfig,
 )
+from repro.engine import build_plan
 from repro.graphs import GraphBuilder, GraphEncoder, graph_fingerprint
+from repro.graphs.batching import collate
 from repro.serving import (
     ArtifactIntegrityError,
     ArtifactNotFoundError,
@@ -1129,6 +1131,26 @@ class TestEnsemblePredictionService:
         expected = tiny_evaluation.label_space.configuration_of(result.label)
         assert result.configuration == expected
         assert isinstance(result.needs_profiling, bool)
+
+    def test_profiling_vote_is_each_requests_member_majority(
+        self, exported_ensemble, sample_graphs
+    ):
+        # The vote runs once per member over the whole call; it must equal
+        # the majority of the members' own classifiers on each request.
+        root, _ = exported_ensemble
+        service = EnsemblePredictionService.from_registry(
+            root, "ens", config=EnsembleConfig(enable_cache=False)
+        )
+        members = list(service.members.values())
+        assert all(member.hybrid is not None for member in members)
+        results = service.predict_many(sample_graphs)
+        for graph, result in zip(sample_graphs, results):
+            plan = build_plan(collate([graph]))
+            votes = sum(
+                bool(member.hybrid.needs_dynamic(member.model.infer(plan)[1])[0])
+                for member in members
+            )
+            assert result.needs_profiling == (votes * 2 >= len(members))
 
     def test_shared_cache_is_keyed_by_version_set(self, exported_ensemble, sample_graphs):
         root, _ = exported_ensemble
