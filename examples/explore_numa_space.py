@@ -46,9 +46,9 @@ def main() -> None:
     print(f"machine: {machine.name}, configuration space: {len(space)} points\n")
     print(f"{'workload':26s} {'best configuration':42s} {'speedup':>8s}")
     for name, profile in PROFILES.items():
-        results = simulator.simulate_space(profile, space)
-        best = min(results, key=lambda cfg: results[cfg].time_seconds)
-        speedup = results[default].time_seconds / results[best].time_seconds
+        times = simulator.simulate_space(profile, space).times()
+        best = min(times, key=times.get)
+        speedup = times[default] / times[best]
         print(f"{name:26s} {best.describe():42s} {speedup:7.2f}x")
     print("\nDifferent regions want very different configurations — exactly the")
     print("search space the paper's GNN learns to navigate from static IR alone.")

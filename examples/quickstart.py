@@ -43,13 +43,13 @@ def main() -> None:
     simulator = NumaPrefetchSimulator(machine)
     profile = derive_profile(spec)
     space = build_configuration_space(machine)
-    results = simulator.simulate_space(profile, space)
+    times = simulator.simulate_space(profile, space).times()
     default = default_configuration(machine)
-    best = min(results, key=lambda cfg: results[cfg].time_seconds)
+    best = min(times, key=times.get)
     print("\n=== configuration search on", machine.name, "===")
-    print(f"default: {default.describe():45s} {results[default].time_ms:8.3f} ms")
-    print(f"best:    {best.describe():45s} {results[best].time_ms:8.3f} ms")
-    print(f"speedup over default: {results[default].time_seconds / results[best].time_seconds:.2f}x")
+    print(f"default: {default.describe():45s} {times[default] * 1e3:8.3f} ms")
+    print(f"best:    {best.describe():45s} {times[best] * 1e3:8.3f} ms")
+    print(f"speedup over default: {times[default] / times[best]:.2f}x")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,16 @@
 
 Step C of the paper's workflow: every region is executed once across the
 whole NUMA × prefetcher space (here: simulated) to find its best
-configuration.  Following Sánchez Barrera et al., the space is then reduced
-to a small set of representative configurations (13 by default, 6 and 2 for
-the label-count study of Figure 6) chosen so that picking the best
+configuration.  :class:`MachineDataset` times a region with one space pass
+of the simulator (:meth:`NumaPrefetchSimulator.simulate_space`: every
+configuration's time from array arithmetic) and builds a full result only
+for the default configuration, whose counters and per-call series the
+dynamic model reads; the scalar :meth:`NumaPrefetchSimulator.simulate` is
+the reference the space pass is tested against.
+
+Following Sánchez Barrera et al., the space is then reduced to a small set
+of representative configurations (13 by default, 6 and 2 for the
+label-count study of Figure 6) chosen so that picking the best
 configuration *within the reduced set* preserves almost all of the gains of
 the full exploration.  The reduced configurations are the class labels every
 model in the project predicts.
@@ -18,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..numasim.configuration import Configuration, build_configuration_space, default_configuration
-from ..numasim.counters import SimulationResult
 from ..numasim.engine import EngineConfig, NumaPrefetchSimulator
 from ..numasim.profile import WorkloadProfile
 from ..numasim.topology import MachineTopology
@@ -85,16 +91,13 @@ class MachineDataset:
 
     def _populate(self) -> None:
         for region in self.regions:
-            profile = self._profile_of(region)
-            results: Dict[Configuration, SimulationResult] = self.simulator.simulate_space(
-                profile, self.space
-            )
-            times = {cfg: res.time_seconds for cfg, res in results.items()}
+            results = self.simulator.simulate_space(self._profile_of(region), self.space)
+            times = results.times()
             default_result = results[self.default]
             self.timings[region.name] = RegionTiming(
                 region_name=region.name,
                 times=times,
-                default_time=default_result.time_seconds,
+                default_time=times[self.default],
                 counters_at_default=default_result.counters.as_vector(),
                 per_call_at_default=list(default_result.per_call_times),
             )

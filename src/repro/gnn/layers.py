@@ -9,6 +9,20 @@ import numpy as np
 from .parameters import ParameterStore, glorot_uniform, normal_init
 
 
+def segment_sum(values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
+    """``(num_segments, width)`` array whose row ``s`` sums the ``values``
+    rows with ``index == s``, added in row order.
+
+    One flattened ``np.bincount`` does it, bit for bit what ``np.add.at``
+    gives into a zeroed array and several times faster (``np.add.reduceat``
+    sums in another order and is not bit-identical).
+    """
+    width = values.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=num_segments * width)
+    return sums.reshape(num_segments, width)
+
+
 class Layer:
     """Base class: layers cache what they need in ``forward`` and release it
     in ``backward``; parameters live in a shared :class:`ParameterStore`.
@@ -92,7 +106,7 @@ class Embedding(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._indices is not None, "backward called before forward"
-        np.add.at(self.weight.grad, self._indices, grad_output)
+        self.weight.grad += segment_sum(grad_output, self._indices, self.weight.grad.shape[0])
         self._indices = None
         return np.zeros(0)  # embeddings have no upstream input
 

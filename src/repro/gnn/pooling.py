@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .layers import Layer
+from .layers import Layer, segment_sum
 
 
 def pool_segments(
@@ -19,18 +19,18 @@ def pool_segments(
     """The one segment-readout kernel every pooling path shares.
 
     ``counts`` is the zero-clamped float64 divisor (only used by
-    ``"mean"``).  The ``np.add.at``/``np.maximum.at`` accumulation order is
-    the bit-parity contract between the training forward, the engine's
-    single-fold ``infer`` and the fold-stacked sweep — change it here or
-    nowhere.
+    ``"mean"``).  The accumulation order — node rows added in order into a
+    zeroed sum by :func:`~repro.gnn.layers.segment_sum` (the same sums as
+    ``np.add.at``), ``np.maximum.at`` for max — is the bit-parity contract
+    between the training forward, the engine's single-fold ``infer`` and the
+    fold-stacked sweep — change it here or nowhere.
     """
-    pooled = np.zeros((num_graphs, x.shape[1]))
     if mode in ("mean", "sum"):
-        np.add.at(pooled, graph_index, x)
+        pooled = segment_sum(x, graph_index, num_graphs)
         if mode == "mean":
             pooled = pooled / counts[:, None]
     else:  # max
-        pooled.fill(-np.inf)
+        pooled = np.full((num_graphs, x.shape[1]), -np.inf)
         np.maximum.at(pooled, graph_index, x)
         pooled[np.isneginf(pooled)] = 0.0
     return pooled

@@ -409,7 +409,10 @@ class Interpreter:
         if name == "omp_get_num_threads":
             return self.num_threads
         if name in _EXTERNAL_MATH:
-            return _EXTERNAL_MATH[name](*[float(a) for a in args])
+            try:
+                return _EXTERNAL_MATH[name](*[float(a) for a in args])
+            except (OverflowError, ValueError) as exc:
+                raise InterpreterError(f"{name}{tuple(args)}: {exc}") from exc
         # Unknown externals behave as pure functions returning 0; they still
         # count as side-effecting for the optimizer, which is all that matters.
         return 0 if inst.type.is_int else 0.0

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 
 class ThreadMapping:
     """Thread-mapping policy names."""
@@ -119,7 +117,7 @@ def compute_placement(
     threads_per_node = map_threads(threads, nodes, cores_per_node, thread_mapping)
     active_nodes = sum(1 for c in threads_per_node if c > 0)
     used = max(1, active_nodes)
-    locality_quality = float(np.clip(locality_quality, 0.0, 1.0))
+    locality_quality = min(1.0, max(0.0, float(locality_quality)))
 
     thread_share = [c / max(1, threads) for c in threads_per_node]
     node0_concentration = [0.0] * nodes
@@ -174,6 +172,6 @@ def compute_placement(
         threads_per_node=tuple(threads_per_node),
         active_nodes=active_nodes,
         memory_nodes=memory_nodes,
-        local_fraction=float(np.clip(local_fraction, 0.0, 1.0)),
+        local_fraction=min(1.0, max(0.0, float(local_fraction))),
         node_traffic_share=tuple(traffic),
     )

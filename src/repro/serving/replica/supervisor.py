@@ -46,6 +46,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing.reduction import ForkingPickler
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...concurrency import TrackedLock, TrackedRLock
@@ -493,6 +494,10 @@ class ReplicaSupervisor:
 
     def _send(self, handle: _ReplicaHandle, call: _PendingCall) -> bool:
         request_id = next(self._ids)
+        # Pickled before the call is registered, and outside the mutex: a
+        # payload that cannot be pickled raises here and leaves no pending
+        # entry behind.
+        message = ForkingPickler.dumps((request_id, call.op, call.payload))
         with handle.mutex:
             if handle.state == "ready":
                 pass
@@ -502,7 +507,7 @@ class ReplicaSupervisor:
                 return False
             handle.pending[request_id] = call
             try:
-                handle.conn.send((request_id, call.op, call.payload))
+                handle.conn.send_bytes(message)
             except (BrokenPipeError, OSError, ValueError):
                 del handle.pending[request_id]
                 handle.state = "dead"

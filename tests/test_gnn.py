@@ -28,6 +28,8 @@ from repro.gnn import (
     per_label_counts,
     softmax,
 )
+from repro.gnn.layers import segment_sum
+from repro.gnn.pooling import pool_segments
 from repro.graphs import GraphEncoder, collate
 from repro.graphs.features import EncodedGraph
 from repro.graphs.graph import RELATIONS
@@ -224,6 +226,28 @@ class TestPooling:
         assert pooled.shape == (2, 2)
         grad = pool.backward(np.ones((2, 2)))
         assert grad.shape == x.shape
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_segment_sums_equal_add_at_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, width, segments = rng.integers(0, 120), rng.integers(1, 20), rng.integers(1, 12)
+        index = rng.integers(0, segments, size=rows)
+        values = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-6, 6, size=(rows, 1))
+        expected = np.zeros((segments, width))
+        np.add.at(expected, index, values)
+        assert np.array_equal(segment_sum(values, index, segments), expected)
+
+        counts = np.maximum(np.bincount(index, minlength=segments), 1).astype(np.float64)
+        assert np.array_equal(pool_segments(values, index, segments, counts, "sum"), expected)
+        assert np.array_equal(
+            pool_segments(values, index, segments, counts, "mean"), expected / counts[:, None]
+        )
+
+        emb = Embedding(ParameterStore(), "emb", segments, width, rng)
+        emb.forward(index)
+        emb.backward(values)
+        assert np.array_equal(emb.weight.grad, expected)
 
     def test_mean_pool_values(self):
         pool = GlobalPool("mean")

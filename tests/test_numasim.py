@@ -1,5 +1,9 @@
 """Tests for the NUMA/prefetcher simulator."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +339,112 @@ class TestEngine:
         result = simulator.simulate(profile, config)
         assert result.time_seconds > 0
         assert np.isfinite(result.time_seconds)
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _assert_space_matches_scalar(simulator, profile, space):
+    results = simulator.simulate_space(profile, space)
+    scalar = np.array([simulator.simulate(profile, cfg).time_seconds for cfg in space])
+    np.testing.assert_allclose(results.time_seconds, scalar, rtol=1e-12, atol=0.0)
+    assert results.times() == dict(zip(space, results.time_seconds.tolist()))
+
+
+class TestSpacePass:
+    """The array pass of ``simulate_space`` against the scalar reference."""
+
+    @pytest.mark.parametrize("machine_name", ["skylake", "sandy-bridge"])
+    @pytest.mark.parametrize("case", ["default", "size-2", "noise"])
+    def test_every_region_and_configuration_matches_simulate(
+        self, region_suite, machine_name, case
+    ):
+        machine = machine_by_name(machine_name)
+        engine = EngineConfig(measurement_noise=0.05 if case == "noise" else 0.0)
+        simulator = NumaPrefetchSimulator(machine, engine)
+        space = build_configuration_space(machine)
+        for region in region_suite:
+            profile = region.profile_at(case) if case == "size-2" else region.profile
+            _assert_space_matches_scalar(simulator, profile, space)
+
+    @given(
+        machine_name=st.sampled_from(["skylake", "sandy-bridge"]),
+        pattern=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        scalability_limit=st.one_of(st.none(), st.integers(1, 64)),
+        init_by_master=st.booleans(),
+        atomics_per_iter=st.sampled_from([0.0, 0.05, 1.5]),
+        false_sharing=st.floats(0.0, 1.0),
+        critical_fraction=st.floats(0.0, 0.3),
+        phase_variability=st.floats(0.0, 1.0),
+        working_set_kb=st.floats(1.0, 1e6),
+        calls=st.integers(1, 40),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_profiles_match_simulate(
+        self, machine_name, pattern, scalability_limit, init_by_master,
+        atomics_per_iter, false_sharing, critical_fraction, phase_variability,
+        working_set_kb, calls,
+    ):
+        total = max(1.0, sum(pattern))
+        sequential, strided, irregular = (value / total for value in pattern)
+        profile = _profile(
+            sequential_fraction=sequential,
+            strided_fraction=strided,
+            irregular_fraction=irregular,
+            scalability_limit=scalability_limit,
+            init_by_master=init_by_master,
+            atomics_per_iter=atomics_per_iter,
+            shared_fraction=0.4,
+            false_sharing=false_sharing,
+            critical_fraction=critical_fraction,
+            phase_variability=phase_variability,
+            working_set_kb=working_set_kb,
+            calls=calls,
+        )
+        machine = machine_by_name(machine_name)
+        simulator = NumaPrefetchSimulator(machine)
+        _assert_space_matches_scalar(simulator, profile, build_configuration_space(machine))
+
+    def test_lookup_builds_the_scalar_result(self):
+        machine = skylake()
+        simulator = NumaPrefetchSimulator(machine)
+        space = build_configuration_space(machine)
+        results = simulator.simulate_space(_profile(phase_variability=0.3), space)
+        assert len(results) == len(space) and list(results) == space
+        default = default_configuration(machine)
+        expected = simulator.simulate(_profile(phase_variability=0.3), default)
+        assert results[default] == expected
+        foreign = Configuration(
+            3, 1, ThreadMapping.CONTIGUOUS, PageMapping.FIRST_TOUCH, PrefetcherSetting.all_on()
+        )
+        assert foreign not in results
+        with pytest.raises(KeyError):
+            results[foreign]
+
+    def test_noise_does_not_depend_on_the_hash_seed(self):
+        code = (
+            "from repro.numasim import EngineConfig, NumaPrefetchSimulator, "
+            "build_configuration_space, skylake\n"
+            "from repro.workloads import build_suite\n"
+            "machine = skylake()\n"
+            "simulator = NumaPrefetchSimulator(machine, EngineConfig(measurement_noise=0.05))\n"
+            "space = build_configuration_space(machine)\n"
+            "profile = build_suite(families=['clomp'], limit=1)[0].profile\n"
+            "print(repr(simulator.simulate(profile, space[5]).time_seconds))\n"
+            "print(simulator.simulate_space(profile, space).time_seconds.tolist())\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
+                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestProfiles:

@@ -20,6 +20,7 @@ from repro.ir import (
     print_module,
     run_function,
 )
+from repro.ir.interpreter import InterpreterError
 from repro.ir.loops import find_loops
 from repro.passes import (
     PassManager,
@@ -256,6 +257,14 @@ class TestSemanticPreservation:
             optimized = apply_flag_sequence(region.module, pipeline(level), verify_each=True)
             result = self._interpret_region(optimized, region.function_name)
             assert result == pytest.approx(reference), region.name
+
+    @pytest.mark.parametrize("name", ["blackscholes", "lulesh 2051"])
+    def test_math_overflow_is_an_interpreter_error(self, region_suite, name):
+        # exp() of these untransformed regions overflows on the fixed inputs;
+        # the interpreter reports that as its own error, not math's.
+        region = next(r for r in region_suite if r.name == name)
+        with pytest.raises(InterpreterError, match="exp"):
+            self._interpret_region(region.module.clone(), region.function_name)
 
     @given(st.integers(min_value=0, max_value=1_000))
     @settings(max_examples=8, deadline=None)

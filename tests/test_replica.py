@@ -395,6 +395,17 @@ class TestCachelessRouting:
             assert all(s["served"] > 0 for s in pool.replica_status())
 
 
+class TestDispatch:
+    def test_unpicklable_request_leaves_no_pending_call(
+        self, registry_root, raw_graphs
+    ):
+        with ReplicaSupervisor(make_config(registry_root, replicas=1)) as pool:
+            with pytest.raises(TypeError):
+                pool.predict("demo", threading.Lock())
+            assert [s["pending"] for s in pool.replica_status()] == [0]
+            assert pool.predict("demo", raw_graphs[0]).label in range(NUM_LABELS)
+
+
 # ------------------------------------------------------------- lifecycle
 
 
