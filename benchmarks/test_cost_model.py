@@ -20,6 +20,7 @@ import pytest
 
 from repro.graphs import GraphBuilder
 from repro.serving import (
+    BatchingConfig,
     CostModelCalibrator,
     DeploymentSpec,
     JournalReader,
@@ -52,8 +53,7 @@ def test_cost_model_calibration(benchmark, serving_setup, tmp_path_factory):
         DeploymentSpec(
             name="m",
             artifact=artifact,
-            max_batch_size=8,
-            max_wait_s=0.001,
+            batching=BatchingConfig(max_batch_size=8, max_delay_s=0.001),
             enable_cache=False,
         )
     )
@@ -95,7 +95,10 @@ def test_cost_model_calibration(benchmark, serving_setup, tmp_path_factory):
 
 def test_shed_overhead(benchmark, serving_setup):
     root, artifact, burst = serving_setup
-    knobs = dict(max_batch_size=BURST, max_wait_s=0.001, enable_cache=False)
+    knobs = dict(
+        batching=BatchingConfig(max_batch_size=BURST, max_delay_s=0.001),
+        enable_cache=False,
+    )
 
     bare = ModelHub(root, enable_cache=False)
     bare.load(DeploymentSpec(name="m", artifact=artifact, **knobs))

@@ -7,8 +7,9 @@ behind one endpoint, which the fold-stacked inference engine
 (:mod:`repro.engine`) holds well below linear in the member count (one
 execution plan per micro-batch, one stacked sweep for all folds; guarded
 by an in-test threshold) — and (b) cold-start vs warm-start latency,
-where the warm service loads a dumped fingerprint → logits table at
-construction and answers its whole first burst from cache.
+where the warm service's cache is loaded from a dumped fingerprint →
+logits table before it serves, so it answers its whole first burst from
+cache.
 
 Timing gates are deliberately loose (best-of-N on both sides) so scheduler
 noise cannot fail the suite; the interesting numbers land in
@@ -22,10 +23,10 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    EnsembleConfig,
+    BatchingConfig,
+    EmbeddingCache,
     EnsemblePredictionService,
     PredictionService,
-    ServiceConfig,
 )
 
 BURST = 64
@@ -61,13 +62,12 @@ def test_single_fold_vs_ensemble_throughput(benchmark, ensemble_setup):
     # happens outside the timed region — same methodology as the cold/warm
     # benchmark below — so the cost ratio measures serving alone: with the
     # cache disabled, every timed call pays the full planned forward.
+    batching = BatchingConfig(max_batch_size=BURST)
     single_service = PredictionService.from_registry(
-        root, refs[0].name, config=ServiceConfig(max_batch_size=BURST, enable_cache=False)
+        root, refs[0].name, batching=batching
     )
     ensemble_service = EnsemblePredictionService.from_registry(
-        root,
-        "skylake-bench",
-        config=EnsembleConfig(max_batch_size=BURST, enable_cache=False),
+        root, "skylake-bench", batching=batching
     )
 
     single_elapsed, single_results = _best_of(lambda: single_service.predict_many(burst))
@@ -95,7 +95,7 @@ def test_single_fold_vs_ensemble_throughput(benchmark, ensemble_setup):
 
     # Deterministic combination: a second ensemble pass answers identically.
     replay = EnsemblePredictionService.from_registry(
-        root, "skylake-bench", config=EnsembleConfig(max_batch_size=BURST, enable_cache=False)
+        root, "skylake-bench", batching=batching
     ).predict_many(burst)
     assert [r.label for r in replay] == [r.label for r in ensemble_results]
     assert all(len(r.per_fold_labels) == num_members for r in ensemble_results)
@@ -128,10 +128,14 @@ def test_cold_vs_warm_start(benchmark, ensemble_setup, tmp_path_factory):
     warm_path = os.fspath(tmp_path_factory.mktemp("ensemble-bench-warm") / "warmup.npz")
 
     def fresh(warmup_path=None):
+        cache = EmbeddingCache(1024)
+        if warmup_path is not None:
+            cache.load(warmup_path)
         return EnsemblePredictionService.from_registry(
             root,
             "skylake-bench",
-            config=EnsembleConfig(max_batch_size=BURST, warmup_path=warmup_path),
+            batching=BatchingConfig(max_batch_size=BURST),
+            cache=cache,
         )
 
     # Cold start: a fresh service pays one forward sweep per fold per

@@ -17,9 +17,10 @@ import pytest
 
 from repro.graphs import GraphBuilder
 from repro.serving import (
+    BatchingConfig,
+    ModelHub,
     PredictionHTTPServer,
     PredictionService,
-    ServiceConfig,
     program_graph_to_dict,
 )
 from repro.workloads import build_suite
@@ -39,11 +40,11 @@ def http_setup(pipeline, skylake_evaluation):
     return predictor, burst, wire_burst
 
 
-def _service(predictor, **overrides):
-    defaults = dict(max_batch_size=BURST, enable_cache=False, max_wait_s=0.001)
-    defaults.update(overrides)
+def _service(predictor):
     return PredictionService(
-        model=predictor.model, encoder=predictor.encoder, config=ServiceConfig(**defaults)
+        model=predictor.model,
+        encoder=predictor.encoder,
+        batching=BatchingConfig(max_batch_size=BURST, max_delay_s=0.001),
     )
 
 
@@ -69,8 +70,10 @@ def test_http_vs_in_process_throughput(benchmark, http_setup):
         in_process_elapsed = min(in_process_elapsed, time.perf_counter() - round_start)
     in_process_qps = len(burst) / in_process_elapsed
 
-    service = _service(predictor)
-    with PredictionHTTPServer(service) as server:
+    # The hand-built service, alone in a cache-less hub.
+    hub = ModelHub(enable_cache=False)
+    hub.adopt("default", _service(predictor))
+    with PredictionHTTPServer(hub) as server:
         connection = http.client.HTTPConnection(server.host, server.port, timeout=60)
         try:
 

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.graphs import GraphBuilder
-from repro.serving import DeploymentSpec, ModelHub, PredictionService, ServiceConfig
+from repro.serving import BatchingConfig, DeploymentSpec, ModelHub, PredictionService
 from repro.workloads import build_suite
 
 BURST = 32
@@ -35,9 +35,10 @@ def hub_setup(tmp_path_factory, pipeline, skylake_evaluation):
 
 def test_hub_routing_overhead(benchmark, hub_setup):
     root, artifact, burst = hub_setup
-    knobs = dict(max_batch_size=BURST, max_wait_s=0.001, enable_cache=False)
+    batching = BatchingConfig(max_batch_size=BURST, max_delay_s=0.001)
+    knobs = dict(batching=batching, enable_cache=False)
 
-    direct = PredictionService.from_registry(root, artifact, config=ServiceConfig(**knobs))
+    direct = PredictionService.from_registry(root, artifact, batching=batching)
     direct_elapsed = float("inf")
     expected = None
     for _ in range(ROUNDS):

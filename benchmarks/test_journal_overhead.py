@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.graphs import GraphBuilder
-from repro.serving import DeploymentSpec, JournalReader, ModelHub
+from repro.serving import BatchingConfig, DeploymentSpec, JournalReader, ModelHub
 from repro.workloads import build_suite
 
 BURST = 32
@@ -35,7 +35,10 @@ def journal_setup(tmp_path_factory, pipeline, skylake_evaluation):
 
 def test_journal_write_overhead(benchmark, journal_setup, tmp_path_factory):
     root, artifact, burst = journal_setup
-    knobs = dict(max_batch_size=BURST, max_wait_s=0.001, enable_cache=False)
+    knobs = dict(
+        batching=BatchingConfig(max_batch_size=BURST, max_delay_s=0.001),
+        enable_cache=False,
+    )
     journal_dir = os.fspath(tmp_path_factory.mktemp("journal-bench") / "journal")
 
     bare = ModelHub(root, enable_cache=False)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serving import PredictionService, ServiceConfig
+from repro.serving import BatchingConfig, EmbeddingCache, PredictionService
 
 BURST = 64
 ROUNDS = 3
@@ -33,13 +33,12 @@ def serving_setup(pipeline, skylake_evaluation):
     return fold.predictor, burst
 
 
-def _service(predictor, **overrides):
-    defaults = dict(max_batch_size=BURST, cache_capacity=2 * BURST)
-    defaults.update(overrides)
+def _service(predictor, enable_cache=True):
     return PredictionService(
         model=predictor.model,
         encoder=predictor.encoder,
-        config=ServiceConfig(**defaults),
+        batching=BatchingConfig(max_batch_size=BURST),
+        cache=EmbeddingCache(2 * BURST) if enable_cache else None,
     )
 
 

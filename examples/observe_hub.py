@@ -35,11 +35,11 @@ from repro.graphs import GraphBuilder
 from repro.serving import (
     DeploymentSpec,
     DriftConfig,
+    EmbeddingCache,
     JournalReader,
     ModelHub,
     PredictionHTTPServer,
     PredictionService,
-    ServiceConfig,
     ArtifactRegistry,
     program_graph_to_dict,
     replay_ab,
@@ -198,10 +198,10 @@ def run(root: str, journal_dir: str) -> None:
     )
     registry = ArtifactRegistry(root)
     side_a = PredictionService.from_artifact(
-        registry.load(fold0, "v0001"), config=ServiceConfig(max_batch_size=32)
+        registry.load(fold0, "v0001"), cache=EmbeddingCache(1024)
     )
     side_b = PredictionService.from_artifact(
-        registry.load(fold0, "v0002"), config=ServiceConfig(max_batch_size=32)
+        registry.load(fold0, "v0002"), cache=EmbeddingCache(1024)
     )
     report = replay_ab(
         reader.records(model="new"), side_a, side_b, names=("v0001", "v0002")

@@ -15,7 +15,13 @@ import os
 import tempfile
 
 from repro.core import HybridModelConfig, PipelineConfig, ReproPipeline, StaticModelConfig
-from repro.serving import ArtifactRegistry, EnsembleConfig, EnsemblePredictionService
+from repro.serving import (
+    ArtifactRegistry,
+    DeploymentSpec,
+    EmbeddingCache,
+    EnsemblePredictionService,
+    ModelHub,
+)
 
 #: REPRO_EXAMPLE_FAST=1 shrinks the training run (used by the CI smoke test).
 FAST = os.environ.get("REPRO_EXAMPLE_FAST") == "1"
@@ -55,7 +61,7 @@ def main() -> None:
         graphs = [sample.graph for sample in samples]
         for strategy in ("mean-softmax", "majority-vote"):
             service = EnsemblePredictionService.from_registry(
-                root, "skylake-demo", config=EnsembleConfig(strategy=strategy)
+                root, "skylake-demo", strategy=strategy, cache=EmbeddingCache(1024)
             )
             print(f"\n{strategy} over {service.num_members} folds:")
             for result in service.predict_many(graphs):
@@ -68,12 +74,17 @@ def main() -> None:
                     f"votes={result.per_fold_labels} config={configuration}"
                 )
 
-        # 4. Warm-up: dump the (version-set keyed) cache, restart, start hot.
+        # 4. Warm-up: dump the (version-set keyed) cache, then restart as a
+        #    hub deployment whose spec warms the hub's cache from the dump.
         warm_path = os.path.join(root, "warmup.npz")
         entries = service.dump_cache(warm_path)
-        restarted = EnsemblePredictionService.from_registry(
-            root, "skylake-demo", config=EnsembleConfig(warmup_path=warm_path)
+        hub = ModelHub(root)
+        hub.load(
+            DeploymentSpec(
+                name="skylake-demo", fold_group="skylake-demo", warmup_path=warm_path
+            )
         )
+        restarted = hub.resolve("skylake-demo").predictor
         first = restarted.predict(graphs[0])
         print(
             f"\nwarm restart: {entries} cached entries persisted, "

@@ -2,8 +2,8 @@
 restart warm from the background checkpoint.
 
 Trains a small cross-validated pipeline, exports one fold into a registry,
-puts a :class:`PredictionService` behind the JSON/HTTP front-end
-(``repro.serving.http``) with a :class:`CheckpointDaemon` dumping the
+deploys it in a :class:`ModelHub` behind the JSON/HTTP front-end
+(``repro.serving.http``) with the hub's checkpoint daemon dumping the
 embedding cache in the background, queries it over a real socket, then
 kills the server and restarts it — the first burst after the restart is
 answered from the checkpointed cache instead of re-paying the RGCN forward
@@ -43,10 +43,10 @@ import urllib.request
 from repro.core import HybridModelConfig, PipelineConfig, ReproPipeline, StaticModelConfig
 from repro.graphs import GraphBuilder
 from repro.serving import (
-    CheckpointDaemon,
+    BatchingConfig,
+    DeploymentSpec,
+    ModelHub,
     PredictionHTTPServer,
-    PredictionService,
-    ServiceConfig,
     program_graph_to_dict,
 )
 from repro.workloads import build_suite
@@ -92,14 +92,16 @@ def main() -> None:
     evaluation = pipeline.evaluate("skylake")
 
     with tempfile.TemporaryDirectory(prefix="repro-http-") as root:
-        # 2. Export one fold and wrap it in a service + HTTP front-end with
-        #    background cache checkpointing.
+        # 2. Export one fold and deploy it in a hub with background cache
+        #    checkpointing, behind the HTTP front-end.
         refs = pipeline.export_artifacts(evaluation, root, name="skylake-demo")
         checkpoint_path = os.path.join(root, "cache-checkpoint.npz")
-        service = PredictionService.from_registry(
-            root, refs[0].name, config=ServiceConfig(max_wait_s=0.01)
+        name = refs[0].name
+        spec = DeploymentSpec(
+            name=name, artifact=name, batching=BatchingConfig(max_delay_s=0.01)
         )
-        daemon = CheckpointDaemon(service.cache, checkpoint_path, interval_s=0.5)
+        hub = ModelHub(root, checkpoint_path=checkpoint_path, checkpoint_interval_s=0.5)
+        hub.load(spec)
 
         # Raw ProgramGraphs, exactly what a remote client would build and
         # wire-encode (the service encodes them with its own vocabulary).
@@ -107,10 +109,10 @@ def main() -> None:
         regions = build_suite(families=["clomp", "lulesh"], limit=6 if FAST else 12)
         graphs = [builder.build_module(region.module) for region in regions]
         wire_graphs = [program_graph_to_dict(graph) for graph in graphs]
-        in_process_labels = [r.label for r in service.predict_many(graphs)]
-        service.cache.clear()  # the HTTP session below starts cold
+        in_process_labels = [r.label for r in hub.predict_many(name, graphs)]
+        hub.cache.clear()  # the HTTP session below starts cold
 
-        with PredictionHTTPServer(service, checkpoint=daemon) as server:
+        with PredictionHTTPServer(hub) as server:
             print(f"serving on {server.url}")
             health = get_json(server.url + "/healthz")
             print(f"healthz: {health['status']}, serving {health['serving']['artifact']}")
@@ -131,18 +133,15 @@ def main() -> None:
                 f"metrics: {metrics['stats']['total_requests']} requests, "
                 f"cache hit rate {metrics['stats']['cache_hit_rate']:.2f}"
             )
-        # Leaving the ``with`` block killed the server; the daemon wrote a
-        # final checkpoint on the way down.
+        # Leaving the ``with`` block killed the server; the hub's daemon
+        # wrote a final checkpoint on the way down.
         print(f"server down, checkpoint at {checkpoint_path}: "
               f"{os.path.getsize(checkpoint_path)} bytes")
 
         # 4. Restart: a brand-new process-worth of state, warmed from the
         #    checkpoint — the whole first burst is answered from cache.
-        restarted = PredictionService.from_registry(
-            root,
-            refs[0].name,
-            config=ServiceConfig(max_wait_s=0.01, warmup_path=checkpoint_path),
-        )
+        restarted = ModelHub(root, warmup_path=checkpoint_path)
+        restarted.load(spec)
         with PredictionHTTPServer(restarted) as server:
             burst = post_json(server.url + "/v1/predict", {"graphs": wire_graphs})
             hits = [r["cache_hit"] for r in burst["results"]]

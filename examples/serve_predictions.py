@@ -13,7 +13,7 @@ import os
 import tempfile
 
 from repro.core import HybridModelConfig, PipelineConfig, ReproPipeline, StaticModelConfig
-from repro.serving import ArtifactRegistry, PredictionService, ServiceConfig
+from repro.serving import ArtifactRegistry, BatchingConfig, EmbeddingCache, PredictionService
 
 #: REPRO_EXAMPLE_FAST=1 shrinks the training run (used by the CI smoke test).
 FAST = os.environ.get("REPRO_EXAMPLE_FAST") == "1"
@@ -47,11 +47,15 @@ def main() -> None:
         for ref in refs:
             print(f"  {ref} -> {ref.path}")
 
-        # 3. Serve: reload the first fold in a fresh service. The registry
-        #    verifies every checksum before deserialising a single weight.
+        # 3. Serve: reload the first fold in a fresh service with its own
+        #    embedding cache. The registry verifies every checksum before
+        #    deserialising a single weight.
         ref = refs[0]
         service = PredictionService.from_registry(
-            root, ref.name, config=ServiceConfig(max_batch_size=16, max_wait_s=0.01)
+            root,
+            ref.name,
+            batching=BatchingConfig(max_batch_size=16, max_delay_s=0.01),
+            cache=EmbeddingCache(1024),
         )
 
         # 4. Query: one region at a time (cold, then cache-hot) ...

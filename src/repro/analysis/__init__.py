@@ -32,8 +32,7 @@ The rules
     ``str()`` would happily mint a repr-named directory.
 
 ``api-surface``
-    ``__all__`` entries are bound and unique, and legacy config shims
-    (``ServiceConfig``/``EnsembleConfig``) carry deprecation notes.
+    ``__all__`` entries are bound and unique.
 
 ``rpc-parity``
     The replica pool stays a faithful hub mirror: every public

@@ -1,19 +1,11 @@
-"""``api-surface``: ``__all__`` tells the truth, deprecations are labelled.
+"""``api-surface``: ``__all__`` tells the truth.
 
-Two checks:
-
-* **``__all__`` consistency** — every name exported via a module's
-  ``__all__`` must be bound at module top level (a def, class,
-  assignment, or import).  For package ``__init__`` files a name also
-  counts as bound when a sibling submodule of that name exists on disk,
-  matching how ``from package import *`` resolves submodule names.
-  Duplicate entries are flagged too: they usually mean a merge went
-  sideways.
-
-* **Deprecation notes** — legacy config shims (``ServiceConfig``,
-  ``EnsembleConfig``) must say so in their docstring.  Anyone reading
-  the class should learn it is a compatibility surface, not the API to
-  build on.
+Every name exported via a module's ``__all__`` must be bound at module
+top level (a def, class, assignment, or import).  For package
+``__init__`` files a name also counts as bound when a sibling submodule of
+that name exists on disk, matching how ``from package import *`` resolves
+submodule names.  Duplicate entries are flagged too: they usually mean a
+merge went sideways.
 """
 
 from __future__ import annotations
@@ -24,9 +16,6 @@ from typing import List, Optional, Set
 
 from ..engine import Finding
 from ..walker import ModuleInfo, Project
-
-_DEPRECATED_SHIMS = {"ServiceConfig", "EnsembleConfig"}
-
 
 def _exported_names(module: ModuleInfo) -> Optional[List[ast.Constant]]:
     for node in module.tree.body:
@@ -94,10 +83,7 @@ def _sibling_submodule_exists(module: ModuleInfo, name: str) -> bool:
 
 class ApiSurfaceRule:
     name = "api-surface"
-    description = (
-        "__all__ entries are bound and unique; legacy config shims carry a "
-        "deprecation note"
-    )
+    description = "__all__ entries are bound and unique"
 
     def check(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
@@ -133,27 +119,4 @@ class ApiSurfaceRule:
                                 ),
                             )
                         )
-            findings.extend(self._check_deprecations(module))
-        return findings
-
-    def _check_deprecations(self, module: ModuleInfo) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.name in _DEPRECATED_SHIMS
-            ):
-                docstring = ast.get_docstring(node) or ""
-                if "deprecat" not in docstring.lower():
-                    findings.append(
-                        Finding(
-                            rule=self.name,
-                            path=module.path,
-                            line=node.lineno,
-                            message=(
-                                f"{node.name} is a legacy config shim but its "
-                                "docstring carries no deprecation note"
-                            ),
-                        )
-                    )
         return findings

@@ -1,34 +1,36 @@
-"""Online inference serving: artefact registry, micro-batched prediction
-service, embedding cache and telemetry.
+"""Online inference serving: artefact registry, model hub, micro-batched
+prediction services, embedding cache and telemetry.
 
 The offline pipeline (:mod:`repro.core`) trains predictors; this package
 deploys them.  ``ReproPipeline.export_artifacts`` writes each fold's
-predictor into an :class:`ArtifactRegistry`; a :class:`PredictionService`
-reloads it (integrity-checked) and answers region → configuration queries
-with micro-batching and fingerprint-keyed caching.  An
-:class:`EnsemblePredictionService` serves *all* exported folds of a base
-name behind one endpoint (mean-softmax or majority-vote combination), the
-registry supports retention (``gc``/``pin``), and caches persist
-(``EmbeddingCache.dump``/``load``) so restarted servers start hot.
+predictor into an :class:`ArtifactRegistry` (with retention via
+``gc``/``pin``).
 
-Deployment is declarative: a :class:`DeploymentSpec` names a deployment
-and points it at an artifact (version-pinned or latest) or a fold group,
-and a :class:`ModelHub` serves many named deployments from one process —
-one shared :class:`EmbeddingCache`/:class:`CheckpointDaemon`, one
-:class:`BatcherWorkerPool` draining every deployment's micro-batch queue,
-runtime ``load``/``unload``/``reload``, and atomic alias flips
-(``prod → v0003``) for zero-downtime version swaps.  Both serving
+A deployment is configured one way: a :class:`DeploymentSpec` names it,
+points it at an artifact (version-pinned or latest) or a fold group, and
+carries its ``batching`` (:class:`BatchingConfig`) and ``slo``
+(:class:`SLOConfig`) blocks.  A :class:`ModelHub` resolves specs into
+front-ends — a :class:`PredictionService` for one artifact, an
+:class:`EnsemblePredictionService` for every exported fold of a base name
+(mean-softmax or majority-vote combination) — and serves many named
+deployments from one process over one shared :class:`EmbeddingCache`
+(persisted by a :class:`CheckpointDaemon`, so restarted servers start
+hot) and one :class:`BatcherWorkerPool` draining every deployment's
+micro-batch queue, with runtime ``load``/``unload``/``reload`` and atomic
+alias flips (``prod → v0003``) for zero-downtime version swaps.  Both
 front-ends implement the one :class:`Predictor` protocol the hub routes
-over.
+over; a hand-built front-end takes the same knobs (``batching``,
+``cache``, ``pool``) and is served by :meth:`ModelHub.adopt`.
+:class:`ReplicaSupervisor` serves the same specs from a pool of worker
+processes, each hosting a full hub.
 
 The wire protocol lives in :mod:`repro.serving.http`: a stdlib JSON/HTTP
-front-end over the hub (``POST /v1/models/<name>/predict``,
-``GET /v1/models``, per-model metrics, admin load/unload/alias routes —
-plus the legacy ``POST /v1/predict``, ``GET /healthz``, ``GET /metrics``),
-with a :class:`CheckpointDaemon` dumping the cache on an interval so a
-crashed server restarts warm.  ``python -m repro.serving`` (or the
-``repro-serve`` console script) serves registry artifacts from the
-command line — one model or many (``--model``, repeatable).
+front-end over a hub or a replica pool (``POST /v1/models/<name>/predict``,
+``POST /v1/predict`` for the default deployment, ``GET /v1/models``,
+per-model metrics, admin load/unload/alias routes, ``GET /healthz``,
+``GET /metrics``).  ``python -m repro.serving`` (or the ``repro-serve``
+console script) serves registry artifacts from the command line — one
+model or many (``--model``, repeatable).
 
 Observability: every served prediction can be recorded into an
 append-only, crash-safe on-disk journal (:class:`JournalWriter` /
@@ -47,7 +49,7 @@ concurrent micro-batches overlap) and — for ensembles — fanned to every
 fold in a single fold-stacked sweep rather than one forward per member.
 """
 
-from .batcher import BatcherWorkerPool, MicroBatcher, PooledBatcher
+from .batcher import BatcherWorkerPool, BatchingConfig, PooledBatcher
 from .cache import CacheEntry, CheckpointDaemon, EmbeddingCache
 from .costmodel import (
     AdmissionController,
@@ -63,7 +65,6 @@ from .costmodel import (
 from .drift import DriftConfig, detect_drift, label_distribution, total_variation
 from .deployment import (
     SHED_POLICIES,
-    BatchingConfig,
     DeploymentSpec,
     DeploymentSpecError,
     Predictor,
@@ -84,7 +85,6 @@ from .hub import (
     ModelHub,
 )
 from .ensemble import (
-    EnsembleConfig,
     EnsemblePredictionResult,
     EnsemblePredictionService,
     combine_majority_vote,
@@ -134,12 +134,11 @@ from .serialization import (
     vocabulary_from_dict,
     vocabulary_to_dict,
 )
-from .service import PredictionResult, PredictionService, Request, ServiceConfig
+from .service import PredictionResult, PredictionService, Request
 from .stats import ServingStats, aggregate_snapshots, render_prometheus
 from .trace import SPAN_ORDER, span
 
 __all__ = [
-    "MicroBatcher",
     "BatcherWorkerPool",
     "PooledBatcher",
     "CacheEntry",
@@ -182,7 +181,6 @@ __all__ = [
     "program_graph_from_dict",
     "program_graph_from_json",
     "program_graph_to_dict",
-    "EnsembleConfig",
     "EnsemblePredictionResult",
     "EnsemblePredictionService",
     "combine_majority_vote",
@@ -202,7 +200,6 @@ __all__ = [
     "PredictionResult",
     "PredictionService",
     "Request",
-    "ServiceConfig",
     "ServingStats",
     "aggregate_snapshots",
     "render_prometheus",

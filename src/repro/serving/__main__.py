@@ -1,8 +1,14 @@
-"""Command-line HTTP serving entry point (a thin shim over the model hub).
+"""Command-line HTTP serving entry point over the model hub.
 
-Serve the latest version of one artifact (the legacy single-model form —
-it builds a one-deployment hub under the hood, so ``POST /v1/predict``
-and the named route ``POST /v1/models/<name>/predict`` both work)::
+The flags become a list of deployment specs
+(:class:`~repro.serving.deployment.DeploymentSpec`, batching flags filling
+each spec's ``batching`` block) loaded into one
+:class:`~repro.serving.hub.ModelHub`, or into each worker's hub under
+``--replicas``.
+
+Serve the latest version of one artifact (a one-deployment hub, so
+``POST /v1/predict`` and the named route
+``POST /v1/models/<name>/predict`` both work)::
 
     python -m repro.serving --root /path/to/registry --name skylake-demo-fold0
 
@@ -45,14 +51,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .costmodel import DEFAULT_COST_MODEL_NAME
 from .deployment import (
     SHED_POLICIES,
+    BatchingConfig,
     DeploymentSpec,
     DeploymentSpecError,
     SLOConfig,
+    deployment_spec_to_dict,
 )
 from .ensemble import STRATEGIES
 from .http import (
@@ -60,7 +68,6 @@ from .http import (
     DEFAULT_REQUEST_TIMEOUT_S,
     PredictionHTTPServer,
 )
-from .deployment import deployment_spec_to_dict
 from .hub import HubError, ModelHub
 from .registry import ArtifactError
 from .replica import ReplicaConfig, ReplicaSupervisor
@@ -96,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--default",
         metavar="NAME",
-        help="deployment answering the unnamed legacy route POST /v1/predict "
+        help="deployment answering the unnamed route POST /v1/predict "
         "(defaults to the first deployment)",
     )
     parser.add_argument("--version", help="pin a version (only with --name)")
@@ -258,6 +265,20 @@ def _parse_cost_model(entry: str) -> Tuple[str, Optional[str]]:
     return name or DEFAULT_COST_MODEL_NAME, version if separator else None
 
 
+def _spec_knobs(args: argparse.Namespace) -> Dict[str, object]:
+    """The serving knobs every CLI-built spec shares."""
+    try:
+        batching = BatchingConfig(
+            max_batch_size=args.max_batch_size,
+            max_delay_s=args.max_wait_ms / 1000.0,
+        )
+    except ValueError as exc:
+        raise DeploymentSpecError(str(exc)) from exc
+    return dict(
+        batching=batching, enable_cache=not args.no_cache, slo=build_slo(args)
+    )
+
+
 def _parse_model_arg(entry: str, args: argparse.Namespace) -> DeploymentSpec:
     """One ``NAME=TARGET`` CLI entry → a DeploymentSpec."""
     name, separator, target = entry.partition("=")
@@ -265,13 +286,7 @@ def _parse_model_arg(entry: str, args: argparse.Namespace) -> DeploymentSpec:
         raise DeploymentSpecError(
             f"--model takes NAME=TARGET, got {entry!r}"
         )
-    common = dict(
-        max_batch_size=args.max_batch_size,
-        max_wait_s=args.max_wait_ms / 1000.0,
-        cache_capacity=args.cache_capacity,
-        enable_cache=not args.no_cache,
-        slo=build_slo(args),
-    )
+    common = _spec_knobs(args)
     if target.startswith("ensemble:"):
         rest = target[len("ensemble:"):]
         base, separator, strategy = rest.partition(":")
@@ -296,15 +311,9 @@ def _parse_model_arg(entry: str, args: argparse.Namespace) -> DeploymentSpec:
 
 
 def build_specs(args: argparse.Namespace) -> List[DeploymentSpec]:
-    """Every deployment the CLI asked for (legacy flags become one spec)."""
+    """Every deployment the CLI asked for (--name and --ensemble add one each)."""
     specs = [_parse_model_arg(entry, args) for entry in args.model]
-    common = dict(
-        max_batch_size=args.max_batch_size,
-        max_wait_s=args.max_wait_ms / 1000.0,
-        cache_capacity=args.cache_capacity,
-        enable_cache=not args.no_cache,
-        slo=build_slo(args),
-    )
+    common = _spec_knobs(args)
     if args.name:
         specs.append(
             DeploymentSpec(
@@ -337,7 +346,7 @@ def build_hub(args: argparse.Namespace) -> ModelHub:
     """Resolve every spec and assemble the hub (shared cache + daemon)."""
     hub = ModelHub(
         args.root,
-        cache_capacity=max(args.cache_capacity, 1),
+        cache_capacity=args.cache_capacity,
         enable_cache=not args.no_cache,
         warmup_path=args.warmup_path or args.checkpoint_path,
         checkpoint_path=args.checkpoint_path,
@@ -376,7 +385,7 @@ def build_supervisor(args: argparse.Namespace) -> ReplicaSupervisor:
         cost_model=(
             _parse_cost_model(args.cost_model) if args.cost_model else None
         ),
-        cache_capacity=max(args.cache_capacity, 1),
+        cache_capacity=args.cache_capacity,
         enable_cache=not args.no_cache,
         pool_workers=args.pool_workers,
         journal_dir=args.journal_dir,
@@ -412,6 +421,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "invalid-config",
             "nothing to serve: pass --name, --ensemble, or --model",
         )
+    if args.cache_capacity < 1:
+        return _fail("invalid-config", "--cache-capacity must be >= 1")
     if args.no_cache and (args.warmup_path or args.checkpoint_path):
         return _fail(
             "invalid-config",

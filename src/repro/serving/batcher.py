@@ -1,32 +1,30 @@
-"""Micro-batching request queue.
+"""Micro-batching: one worker pool draining per-deployment queues.
 
 The RGCN forward pass amortises extremely well over a batch (one big
 block-diagonal matmul instead of many small ones), so the async front-end
-of the prediction service does not run requests one by one.  Instead a
-background thread collects requests until either ``max_batch_size`` are
-pending or the oldest request has waited ``max_wait_s``, then runs the
-whole group through a single runner call — the classic latency/throughput
-micro-batching trade-off of online inference servers.
+of a prediction service does not run requests one by one.  Each serving
+front-end owns one :class:`PooledBatcher` queue; the worker threads of a
+:class:`BatcherWorkerPool` dispatch a queue once it holds
+``max_batch_size`` requests or its oldest request has waited
+``max_wait_s``, and run the whole group through a single runner call —
+the classic latency/throughput micro-batching trade-off of online
+inference servers.  A :class:`~repro.serving.hub.ModelHub` drains every
+deployment's queue with one shared pool, so twenty mostly-idle models
+pay for one thread set, not twenty; a standalone front-end builds a
+private pool of one worker.
 
-Requests submitted before :meth:`MicroBatcher.start` simply queue up; this
-makes batch formation deterministic in tests (enqueue N, start, observe one
-batch of N).
+Requests submitted before :meth:`PooledBatcher.start` simply queue up;
+this makes batch formation deterministic in tests (enqueue N, start,
+observe one batch of N).
 
-The batcher is ensemble-aware: ``fanout`` declares how many fold models
-each batch fans out to (the runner builds one
+Queues are ensemble-aware: ``fanout`` declares how many fold models each
+batch fans out to (the runner builds one
 :class:`~repro.engine.ExecutionPlan` per batch and evaluates every fold
 against it, so a batch of B items costs one plan + one fold-stacked sweep,
 not ``B x fanout`` forwards), and because the engine's inference path is
-stateless/reentrant, ``workers > 1`` drains the queue with several threads
-whose forward passes genuinely overlap — there is no forward lock left to
+stateless/reentrant, a pool with several workers runs batches whose
+forward passes genuinely overlap — there is no forward lock left to
 serialise them.
-
-For multi-model serving, :class:`BatcherWorkerPool` multiplexes the same
-micro-batching policy over *many* queues with one shared set of worker
-threads: every deployment of a :class:`~repro.serving.hub.ModelHub` gets
-its own :class:`PooledBatcher` (same surface as :class:`MicroBatcher`),
-but a hub with twenty mostly-idle models pays for one thread pool, not
-twenty.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..concurrency import TrackedCondition
@@ -42,6 +41,26 @@ from .trace import publish_queue_waits, reset_queue_waits
 #: Predicts the latency of running one batch of the given items, or
 #: ``None`` to abstain (e.g. no cost model calibrated yet).
 CostEstimator = Callable[[List[Any]], Optional[float]]
+
+
+@dataclass(frozen=True)
+class BatchingConfig:
+    """Micro-batching knobs of one deployment (a spec's ``batching`` block).
+
+    A queue is dispatched once it holds ``max_batch_size`` requests or its
+    oldest request has waited ``max_delay_s``.  How many threads drain the
+    queues is the pool's business (``ModelHub(pool_workers=...)``), not a
+    per-deployment knob.
+    """
+
+    max_batch_size: int = 32
+    max_delay_s: float = 0.002
+
+    def __post_init__(self) -> None:
+        if self.max_batch_size < 1:
+            raise ValueError("max_batch_size must be >= 1")
+        if self.max_delay_s < 0:
+            raise ValueError("max_delay_s must be >= 0")
 
 
 def _deadline_limit(
@@ -73,198 +92,11 @@ def _deadline_limit(
     return max_batch_size
 
 
-class MicroBatcher:
-    """Groups submitted items and hands them to ``runner`` in batches.
-
-    ``runner`` receives a list of items and must return one result per item,
-    in order.  Each :meth:`submit` returns a :class:`concurrent.futures.Future`
-    resolved with the corresponding result (or the runner's exception).
-    """
-
-    def __init__(
-        self,
-        runner: Callable[[List[Any]], Sequence[Any]],
-        max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
-        workers: int = 1,
-        fanout: int = 1,
-        cost_estimator: Optional[CostEstimator] = None,
-        latency_target_s: Optional[float] = None,
-    ):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if fanout < 1:
-            raise ValueError("fanout must be >= 1")
-        if latency_target_s is not None and latency_target_s <= 0:
-            raise ValueError("latency_target_s must be > 0")
-        self._runner = runner
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        #: deadline-aware closing: with both bound, a forming batch is
-        #: sealed as soon as the estimator predicts one more add would
-        #: exceed the target (the deployment's p95 SLO).
-        self._cost_estimator = cost_estimator
-        self._latency_target_s = latency_target_s
-        self._deadline_sealed = 0
-        #: worker threads draining the queue concurrently.  Safe above any
-        #: reentrant runner (the engine's stateless inference path); keep at
-        #: 1 for strictly deterministic batch formation.
-        self.workers = workers
-        #: fold fan-out of each dispatched batch (ensemble member count) —
-        #: purely descriptive, surfaced via :meth:`telemetry`.
-        self.fanout = fanout
-        self._queue: List[Tuple[Any, Future, float]] = []
-        self._condition = TrackedCondition(name="batcher.condition")
-        self._closed = False
-        self._threads: List[threading.Thread] = []
-        self._batches_dispatched = 0
-        self._items_dispatched = 0
-
-    # ------------------------------------------------------------ lifecycle
-    def start(self) -> "MicroBatcher":
-        with self._condition:
-            if self._closed:
-                raise RuntimeError("cannot start a closed MicroBatcher")
-            while len(self._threads) < self.workers:
-                thread = threading.Thread(
-                    target=self._loop,
-                    name=f"repro-micro-batcher-{len(self._threads)}",
-                    daemon=True,
-                )
-                self._threads.append(thread)
-                thread.start()
-        return self
-
-    def close(self, timeout: Optional[float] = None) -> None:
-        """Stop accepting work; drain what is already queued, then exit.
-
-        If worker threads are running they keep draining even past a
-        ``timeout`` on the join — queued futures are only failed when the
-        batcher was never started, because then nothing will ever serve
-        them.
-        """
-        with self._condition:
-            self._closed = True
-            self._condition.notify_all()
-            threads = list(self._threads)
-        if threads:
-            deadline = (
-                None if timeout is None else time.monotonic() + timeout
-            )
-            for thread in threads:
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
-                )
-                thread.join(remaining)
-            return
-        with self._condition:
-            pending, self._queue = self._queue, []
-        for _, future, _ in pending:
-            if future.set_running_or_notify_cancel():
-                future.set_exception(RuntimeError("MicroBatcher closed before start"))
-
-    def __enter__(self) -> "MicroBatcher":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------- frontend
-    def submit(self, item: Any) -> Future:
-        future: Future = Future()
-        with self._condition:
-            if self._closed:
-                raise RuntimeError("MicroBatcher is closed")
-            self._queue.append((item, future, time.monotonic()))
-            self._condition.notify_all()
-        return future
-
-    @property
-    def pending(self) -> int:
-        with self._condition:
-            return len(self._queue)
-
-    def telemetry(self) -> dict:
-        """Scheduling counters: batches/items dispatched, fold fan-out.
-
-        These are scheduling facts only; whether the fan-out actually ran
-        as one stacked sweep (vs the per-fold fallback) is the service's
-        business — see ``ServingStats.snapshot()['engine']``.
-        """
-        with self._condition:
-            batches = self._batches_dispatched
-            items = self._items_dispatched
-            sealed = self._deadline_sealed
-        return {
-            "workers": self.workers,
-            "fanout": self.fanout,
-            "batches_dispatched": batches,
-            "items_dispatched": items,
-            "deadline_sealed": sealed,
-        }
-
-    # ------------------------------------------------------------- internals
-    def _take_batch(self) -> Optional[List[Tuple[Any, Future, float]]]:
-        """Block until a batch is ready (or the batcher is drained+closed)."""
-        with self._condition:
-            while True:
-                while not self._queue:
-                    if self._closed:
-                        return None
-                    self._condition.wait()
-                deadline = time.monotonic() + self.max_wait_s
-                while not self._closed:
-                    # The cap moves as the queue changes, so recompute it on
-                    # every wake-up rather than once per window.
-                    limit = _deadline_limit(
-                        self._queue,
-                        self.max_batch_size,
-                        self._cost_estimator,
-                        self._latency_target_s,
-                    )
-                    if len(self._queue) >= limit:
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._condition.wait(timeout=remaining)
-                limit = _deadline_limit(
-                    self._queue,
-                    self.max_batch_size,
-                    self._cost_estimator,
-                    self._latency_target_s,
-                )
-                batch = self._queue[:limit]
-                if not batch:
-                    # Another worker drained the queue while this one waited
-                    # out the batching window — go back to sleeping instead
-                    # of dispatching (and counting) a phantom empty batch.
-                    continue
-                if limit < self.max_batch_size and len(batch) == limit:
-                    self._deadline_sealed += 1
-                del self._queue[:limit]
-                self._batches_dispatched += 1
-                self._items_dispatched += len(batch)
-                return batch
-
-    def _loop(self) -> None:
-        while True:
-            batch = self._take_batch()
-            if batch is None:
-                return
-            _run_batch(self._runner, batch)
-
-
 def _run_batch(
     runner: Callable[[List[Any]], Sequence[Any]],
     batch: Sequence[Tuple[Any, Future, float]],
 ) -> None:
-    """Run one dispatched batch and resolve its futures (shared by the
-    single-queue :class:`MicroBatcher` and the pooled variant below)."""
+    """Run one dispatched batch and resolve its futures."""
     # Drop futures cancelled while queued; a cancelled future would
     # raise InvalidStateError on set_result and kill the worker thread.
     live = [
@@ -299,15 +131,13 @@ class BatcherWorkerPool:
     """One shared set of worker threads draining many micro-batch queues.
 
     A :class:`~repro.serving.hub.ModelHub` serves many named deployments
-    from one process; giving each its own :class:`MicroBatcher` thread set
-    would scale threads with model count even though most models are idle
-    most of the time.  The pool inverts that: deployments register
-    lightweight :class:`PooledBatcher` queues (created via
-    :meth:`batcher_factory`, signature-compatible with
-    :class:`MicroBatcher`), and ``workers`` shared threads apply the same
-    batching policy — dispatch a queue when it holds ``max_batch_size``
-    items or its oldest item has waited ``max_wait_s`` — across all of
-    them, oldest-work-first.
+    from one process; giving each its own thread set would scale threads
+    with model count even though most models are idle most of the time.
+    The pool inverts that: deployments register lightweight
+    :class:`PooledBatcher` queues (created via :meth:`batcher_factory`),
+    and ``workers`` shared threads apply one batching policy — dispatch a
+    queue when it holds ``max_batch_size`` items or its oldest item has
+    waited ``max_wait_s`` — across all of them, oldest-work-first.
 
     The pool never runs two batches of one queue's items out of order
     (items are popped FIFO under the shared lock), but batches of
@@ -335,16 +165,11 @@ class BatcherWorkerPool:
         runner: Callable[[List[Any]], Sequence[Any]],
         max_batch_size: int = 32,
         max_wait_s: float = 0.002,
-        workers: int = 1,  # noqa: ARG002 - pool-level; kept for signature parity
         fanout: int = 1,
         cost_estimator: Optional[CostEstimator] = None,
         latency_target_s: Optional[float] = None,
     ) -> "PooledBatcher":
-        """Drop-in replacement for the :class:`MicroBatcher` constructor.
-
-        ``workers`` is accepted for signature compatibility but ignored:
-        worker threads belong to the pool, not to any one queue.
-        """
+        """A new queue whose batches this pool's workers run."""
         return PooledBatcher(
             self,
             runner,
@@ -473,12 +298,11 @@ class BatcherWorkerPool:
 class PooledBatcher:
     """One deployment's micro-batch queue, drained by a shared pool.
 
-    Same surface as :class:`MicroBatcher` (``start``/``submit``/``close``/
-    ``pending``/``telemetry``), so :class:`~repro.serving.service.ServingFrontend`
-    uses either interchangeably; the difference is purely who owns the
-    worker threads.  Items submitted before :meth:`start` queue up and are
-    only dispatched once started, preserving MicroBatcher's deterministic
-    enqueue-then-start batch formation.
+    ``start``/``submit``/``close``/``pending``/``telemetry`` are what a
+    :class:`~repro.serving.service.ServingFrontend` drives; the worker
+    threads belong to the pool.  Items submitted before :meth:`start`
+    queue up and are only dispatched once started, so enqueue-then-start
+    forms deterministic batches.
     """
 
     def __init__(
@@ -556,8 +380,7 @@ class PooledBatcher:
             self._pool.unregister(self)
         # A timed-out close leaves the member registered: the pool keeps
         # draining a closed queue, so the leftover futures still resolve
-        # (mirroring MicroBatcher, whose workers keep draining past a
-        # timed-out join) instead of hanging unreachable forever.
+        # instead of hanging unreachable forever.
 
     def __enter__(self) -> "PooledBatcher":
         return self.start()
@@ -588,7 +411,6 @@ class PooledBatcher:
                 "batches_dispatched": self._batches_dispatched,
                 "items_dispatched": self._items_dispatched,
                 "deadline_sealed": self._deadline_sealed,
-                "pooled": True,
             }
 
     # ------------------------------------------------------------- internals

@@ -1,21 +1,15 @@
 """Declarative deployment specs and the predictor interface they produce.
 
-Before the hub, deploying a model meant picking one of two near-duplicate
-front-end classes (:class:`~repro.serving.service.PredictionService` vs
-:class:`~repro.serving.ensemble.EnsemblePredictionService`) and one of two
-near-duplicate config dataclasses (``ServiceConfig`` vs ``EnsembleConfig``)
-— the *what* (which artefact, which version, which combination policy) was
-tangled up with the *how* (which Python class to instantiate).
-
-:class:`DeploymentSpec` separates them: one declarative record names the
-deployment, points it at a registry artefact (``artifact`` + optional
-``version`` pin) **or** a fold group (``fold_group`` + combination
-``strategy``), and carries the batcher/cache/warm-up knobs.  The
-:class:`~repro.serving.hub.ModelHub` resolves a spec against an
-:class:`~repro.serving.registry.ArtifactRegistry` and builds the right
-service behind the :class:`Predictor` protocol — single-fold and ensemble
-serving become two implementations of one interface instead of two parallel
-API surfaces.
+A :class:`DeploymentSpec` is the one way to configure a deployment: it
+names the deployment, points it at a registry artefact (``artifact`` +
+optional ``version`` pin) **or** a fold group (``fold_group`` +
+combination ``strategy``), and carries the serving knobs — the nested
+``batching`` block (:class:`BatchingConfig`), the ``slo`` block
+(:class:`SLOConfig`), whether to use the hub's shared cache, the stats
+window and a warm-up file.  The :class:`~repro.serving.hub.ModelHub`
+resolves a spec against an :class:`~repro.serving.registry.ArtifactRegistry`
+and builds the right front-end behind the :class:`Predictor` protocol, so
+single-fold and ensemble serving are two implementations of one interface.
 
 Specs have a strict wire codec (:func:`deployment_spec_to_dict` /
 :func:`deployment_spec_from_dict`), so the same record configures a
@@ -29,8 +23,8 @@ import re
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-from .ensemble import STRATEGIES, EnsembleConfig
-from .service import ServiceConfig, validate_frontend_knobs
+from .batcher import BatchingConfig
+from .ensemble import STRATEGIES
 
 #: deployment names become URL path segments (``/v1/models/<name>/...``):
 #: one segment, no separators, no dots leading (path traversal), URL-safe.
@@ -47,29 +41,6 @@ class DeploymentSpecError(ValueError):
 #: admissible ``SLOConfig.shed_policy`` values: ``"none"`` observes only,
 #: ``"shed"`` enforces the budgets with structured 429s.
 SHED_POLICIES: Tuple[str, ...] = ("none", "shed")
-
-
-@dataclass(frozen=True)
-class BatchingConfig:
-    """Micro-batching knobs of one deployment (the nested ``batching`` block).
-
-    Subsumes the legacy flat spec knobs: ``max_batch_size`` keeps its name,
-    ``max_wait_s`` becomes ``max_delay_s``, ``batcher_workers`` becomes
-    ``workers``.  The flat spellings still decode (deprecation shims on
-    :class:`DeploymentSpec`), but this block is the canonical wire form.
-    """
-
-    max_batch_size: int = 32
-    max_delay_s: float = 0.002
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_delay_s < 0:
-            raise ValueError("max_delay_s must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,7 +77,6 @@ def batching_config_to_dict(config: BatchingConfig) -> Dict[str, object]:
     return {
         "max_batch_size": config.max_batch_size,
         "max_delay_s": config.max_delay_s,
-        "workers": config.workers,
     }
 
 
@@ -115,7 +85,7 @@ def batching_config_from_dict(data: object) -> BatchingConfig:
         raise DeploymentSpecError(
             f"'batching' must be a JSON object, got {type(data).__name__}"
         )
-    unknown = sorted(set(data) - {"max_batch_size", "max_delay_s", "workers"})
+    unknown = sorted(set(data) - {"max_batch_size", "max_delay_s"})
     if unknown:
         raise DeploymentSpecError(f"'batching' has unknown field(s) {unknown}")
     try:
@@ -198,13 +168,11 @@ class DeploymentSpec:
     ensemble members always serve their latest versions.
 
     Batching knobs live in the nested ``batching`` block
-    (:class:`BatchingConfig`); service-level objectives in the ``slo`` block
-    (:class:`SLOConfig`).  The flat ``max_batch_size``/``max_wait_s``/
-    ``batcher_workers`` fields are **deprecated** spellings kept for
-    compatibility: setting any of them folds into a ``batching`` block
-    (setting both spellings at once is an error), and after construction
-    the flat fields always mirror the folded block, so existing readers
-    keep working unchanged.
+    (:class:`BatchingConfig`, defaulted when absent); service-level
+    objectives in the ``slo`` block (:class:`SLOConfig`).  ``enable_cache``
+    chooses between the hub's shared cache and none, and ``warmup_path``
+    names a cache dump the hub loads into that shared cache, best-effort,
+    when the deployment is built.
     """
 
     name: str
@@ -213,22 +181,22 @@ class DeploymentSpec:
     version: Optional[str] = None
     strategy: str = "mean-softmax"
     folds: Optional[Tuple[int, ...]] = None
-    #: deprecated — use ``batching.max_batch_size``.
-    max_batch_size: Optional[int] = None
-    #: deprecated — use ``batching.max_delay_s``.
-    max_wait_s: Optional[float] = None
-    cache_capacity: int = 1024
     enable_cache: bool = True
     latency_window: int = 4096
-    #: deprecated — use ``batching.workers``.
-    batcher_workers: Optional[int] = None
     warmup_path: Optional[str] = None
     batching: Optional[BatchingConfig] = None
     slo: Optional[SLOConfig] = None
 
     def __post_init__(self) -> None:
         validate_deployment_name(self.name)
-        self._fold_batching_knobs()
+        if self.batching is None:
+            object.__setattr__(self, "batching", BatchingConfig())
+        elif not isinstance(self.batching, BatchingConfig):
+            raise DeploymentSpecError(
+                f"deployment {self.name!r}: 'batching' must be a "
+                f"BatchingConfig (decode wire data with "
+                f"deployment_spec_from_dict)"
+            )
         if self.slo is not None and not isinstance(self.slo, SLOConfig):
             raise DeploymentSpecError(
                 f"deployment {self.name!r}: 'slo' must be an SLOConfig "
@@ -267,65 +235,10 @@ class DeploymentSpec:
                     f"'fold_group' deployments"
                 )
             object.__setattr__(self, "folds", tuple(int(fold) for fold in self.folds))
-        try:
-            validate_frontend_knobs(self)
-        except ValueError as exc:
-            raise DeploymentSpecError(f"deployment {self.name!r}: {exc}") from exc
-
-    def _fold_batching_knobs(self) -> None:
-        """Normalise batching knobs: one canonical ``batching`` block.
-
-        Legacy flat knobs fold into the block; mixing spellings is
-        rejected (which knob wins would otherwise be silent).  After
-        folding, the flat fields mirror the block, so a spec built either
-        way compares (and serves) identically.
-        """
-        if self.batching is not None and not isinstance(
-            self.batching, BatchingConfig
-        ):
+        if self.latency_window < 1:
             raise DeploymentSpecError(
-                f"deployment {self.name!r}: 'batching' must be a "
-                f"BatchingConfig (decode wire data with "
-                f"deployment_spec_from_dict)"
+                f"deployment {self.name!r}: latency_window must be >= 1"
             )
-        legacy = {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_s": self.max_wait_s,
-            "batcher_workers": self.batcher_workers,
-        }
-        legacy_set = sorted(
-            knob for knob, value in legacy.items() if value is not None
-        )
-        if self.batching is not None and legacy_set:
-            raise DeploymentSpecError(
-                f"deployment {self.name!r}: legacy knob(s) {legacy_set} "
-                f"conflict with the 'batching' block — set one or the other"
-            )
-        batching = self.batching
-        if batching is None:
-            try:
-                batching = BatchingConfig(
-                    max_batch_size=(
-                        32 if self.max_batch_size is None else self.max_batch_size
-                    ),
-                    max_delay_s=(
-                        0.002 if self.max_wait_s is None else self.max_wait_s
-                    ),
-                    workers=(
-                        1 if self.batcher_workers is None else self.batcher_workers
-                    ),
-                )
-            except ValueError as exc:
-                message = str(exc).replace("max_delay_s", "max_wait_s").replace(
-                    "workers", "batcher_workers"
-                )
-                raise DeploymentSpecError(
-                    f"deployment {self.name!r}: {message}"
-                ) from exc
-            object.__setattr__(self, "batching", batching)
-        object.__setattr__(self, "max_batch_size", batching.max_batch_size)
-        object.__setattr__(self, "max_wait_s", batching.max_delay_s)
-        object.__setattr__(self, "batcher_workers", batching.workers)
 
     # ------------------------------------------------------------ properties
     @property
@@ -337,32 +250,6 @@ class DeploymentSpec:
     def target(self) -> str:
         """The registry name this spec serves (artifact or fold-group base)."""
         return self.artifact if self.artifact is not None else self.fold_group
-
-    # ----------------------------------------------------- config projection
-    def service_config(self) -> ServiceConfig:
-        """The legacy single-model config this spec projects onto."""
-        return ServiceConfig(
-            max_batch_size=self.max_batch_size,
-            max_wait_s=self.max_wait_s,
-            cache_capacity=self.cache_capacity,
-            enable_cache=self.enable_cache,
-            latency_window=self.latency_window,
-            batcher_workers=self.batcher_workers,
-            warmup_path=self.warmup_path,
-        )
-
-    def ensemble_config(self) -> EnsembleConfig:
-        """The legacy ensemble config this spec projects onto."""
-        return EnsembleConfig(
-            strategy=self.strategy,
-            max_batch_size=self.max_batch_size,
-            max_wait_s=self.max_wait_s,
-            cache_capacity=self.cache_capacity,
-            enable_cache=self.enable_cache,
-            latency_window=self.latency_window,
-            batcher_workers=self.batcher_workers,
-            warmup_path=self.warmup_path,
-        )
 
 
 #: spec fields that keep their dataclass default when absent on the wire.
@@ -379,11 +266,8 @@ def deployment_spec_to_dict(spec: DeploymentSpec) -> Dict[str, object]:
         "version": spec.version,
         "strategy": spec.strategy,
         "folds": list(spec.folds) if spec.folds is not None else None,
-        "batching": batching_config_to_dict(spec.batching)
-        if spec.batching is not None
-        else None,
+        "batching": batching_config_to_dict(spec.batching),
         "slo": slo_config_to_dict(spec.slo) if spec.slo is not None else None,
-        "cache_capacity": spec.cache_capacity,
         "enable_cache": spec.enable_cache,
         "latency_window": spec.latency_window,
         "warmup_path": spec.warmup_path,

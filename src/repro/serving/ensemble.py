@@ -44,50 +44,15 @@ from ..engine import IncompatibleFoldsError, StackedFoldModel, build_plan
 from ..gnn.losses import softmax
 from ..graphs.features import EncodedGraph
 from ..numasim.configuration import Configuration
+from .batcher import BatcherWorkerPool, BatchingConfig
 from .cache import EmbeddingCache
 from .registry import ArtifactNotFoundError, ArtifactRegistry, LoadedArtifact
 from .serialization import label_space_to_dict
-from .service import ServingFrontend, validate_frontend_knobs
-from .stats import ServingStats
+from .service import ServingFrontend
 from .trace import span
 
 #: supported per-fold probability combination strategies.
 STRATEGIES = ("mean-softmax", "majority-vote")
-
-
-@dataclass
-class EnsembleConfig:
-    """Knobs of :class:`EnsemblePredictionService`.
-
-    .. deprecated::
-        New code should declare deployments with
-        :class:`~repro.serving.deployment.DeploymentSpec` (``fold_group=``
-        + ``strategy=``) and serve them through a
-        :class:`~repro.serving.hub.ModelHub`, which subsumes these knobs
-        (and ``ServiceConfig``'s) in one record — batching knobs live in
-        the spec's nested :class:`~repro.serving.deployment.BatchingConfig`
-        block.  This class keeps working for directly-embedded ensembles.
-    """
-
-    strategy: str = "mean-softmax"
-    max_batch_size: int = 32
-    max_wait_s: float = 0.002
-    cache_capacity: int = 1024
-    enable_cache: bool = True
-    latency_window: int = 4096
-    #: worker threads draining the micro-batch queue (stacked inference is
-    #: stateless, so workers > 1 overlap whole-ensemble forward sweeps).
-    batcher_workers: int = 1
-    #: optional path to an ``EmbeddingCache.dump`` file loaded at
-    #: construction (if it exists), so a restarted ensemble starts hot.
-    warmup_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        validate_frontend_knobs(self)
 
 
 @dataclass
@@ -158,18 +123,27 @@ class EnsemblePredictionService(ServingFrontend):
     ``members`` maps fold index → loaded artefact.  Every member must share
     the encoder vocabulary, head size and (where present) label space —
     violations raise :class:`ValueError` at construction, not at prediction
-    time.
+    time.  ``strategy`` is one of :data:`STRATEGIES`; the other keywords
+    are the serving knobs every front-end takes.
     """
 
     def __init__(
         self,
         members: Mapping[int, LoadedArtifact],
-        config: Optional[EnsembleConfig] = None,
+        *,
+        strategy: str = "mean-softmax",
+        batching: Optional[BatchingConfig] = None,
+        latency_window: int = 4096,
         cache: Optional[EmbeddingCache] = None,
+        pool: Optional[BatcherWorkerPool] = None,
     ):
         if not members:
             raise ValueError("an ensemble needs at least one member")
-        self.config = config or EnsembleConfig()
+        if strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+            )
+        self.strategy = strategy
         self._members: Dict[int, LoadedArtifact] = dict(sorted(members.items()))
         self._fold_indices: List[int] = list(self._members)
         for artifact in self._members.values():
@@ -215,16 +189,7 @@ class EnsemblePredictionService(ServingFrontend):
             "|".join(version_set).encode("utf-8")
         ).hexdigest()[:16]
 
-        self.stats = ServingStats(latency_window=self.config.latency_window)
-        if cache is not None:
-            self.cache: Optional[EmbeddingCache] = cache
-        elif self.config.enable_cache:
-            self.cache = EmbeddingCache(self.config.cache_capacity)
-        else:
-            self.cache = None
-        self._best_effort_warm_up(self.cache, self.config.warmup_path)
-
-        self._combine = _COMBINERS[self.config.strategy]
+        self._combine = _COMBINERS[strategy]
         # Fold-stacked engine path: every member's weights stacked into
         # (F, in, out) tensors, so one plan + one sweep answers all folds.
         # Members whose architectures differ (allowed, as long as vocabulary
@@ -236,7 +201,9 @@ class EnsemblePredictionService(ServingFrontend):
             )
         except IncompatibleFoldsError:
             self._stacked = None
-        super().__init__()
+        super().__init__(
+            batching=batching, latency_window=latency_window, cache=cache, pool=pool
+        )
 
     # --------------------------------------------------------- constructors
     @classmethod
@@ -244,15 +211,15 @@ class EnsemblePredictionService(ServingFrontend):
         cls,
         root: str,
         base: str,
-        config: Optional[EnsembleConfig] = None,
         folds: Optional[Sequence[int]] = None,
         verify: bool = True,
-        cache: Optional[EmbeddingCache] = None,
+        **knobs,
     ) -> "EnsemblePredictionService":
         """Discover and load every ``<base>-fold<k>`` artefact under ``root``.
 
         ``folds`` restricts membership to a subset of fold indices; each
-        member is the *latest* version of its model name.
+        member is the *latest* version of its model name.  ``knobs`` are
+        the constructor's keywords (``strategy``, ``batching``, ...).
         """
         registry = ArtifactRegistry(root)
         member_names = registry.fold_members(base)
@@ -277,7 +244,7 @@ class EnsemblePredictionService(ServingFrontend):
             fold: registry.load(ref.name, ref.version, verify=verify)
             for fold, ref in member_refs.items()
         }
-        return cls(members, config=config, cache=cache)
+        return cls(members, **knobs)
 
     # ------------------------------------------------------------ properties
     @property
@@ -292,7 +259,7 @@ class EnsemblePredictionService(ServingFrontend):
     def snapshot(self) -> Dict[str, object]:
         """Serving stats plus ensemble composition, JSON-friendly."""
         snapshot = super().snapshot()
-        snapshot["strategy"] = self.config.strategy
+        snapshot["strategy"] = self.strategy
         snapshot["num_members"] = self.num_members
         snapshot["members"] = [str(a.ref) for a in self._members.values()]
         snapshot["fold_stacked"] = self._stacked is not None
@@ -301,7 +268,7 @@ class EnsemblePredictionService(ServingFrontend):
     def describe(self) -> Dict[str, object]:
         return {
             "service": "ensemble",
-            "strategy": self.config.strategy,
+            "strategy": self.strategy,
             "members": [str(a.ref) for a in self._members.values()],
             "version_set_id": self.version_set_id,
             "num_labels": self.num_labels,
@@ -394,7 +361,7 @@ class EnsemblePredictionService(ServingFrontend):
         stacked_vectors = np.stack([row[1] for row in rows])  # (B, F, D)
         fold_argmax = np.argmax(stacked_logits, axis=2)  # (B, F)
         mean_vectors = stacked_vectors.mean(axis=1)  # (B, D)
-        if self.config.strategy == "mean-softmax":
+        if self.strategy == "mean-softmax":
             # softmax/mean/argmax are all row-wise: identical bits to the
             # per-request combine_mean_softmax.
             all_probabilities = softmax(stacked_logits, axis=2).mean(axis=1)

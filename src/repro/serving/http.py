@@ -29,12 +29,8 @@ deployments in one process — behind a stdlib HTTP server
   journal/checkpoint infrastructure.  Both answer ``HEAD`` too;
   ``/metrics?format=prometheus`` serves the stdlib-rendered text
   exposition instead of JSON (unknown formats get a structured 406).
-* ``POST /v1/predict`` — the legacy single-model route, answered by the
-  hub's *default* deployment.  Kept (with the bare-service constructors)
-  as a deprecation-noted shim: a :class:`ServingApp` built from a single
-  :class:`~repro.serving.service.ServingFrontend` wraps it in a
-  one-deployment hub, so PR-3 era callers and the ``repro-serve`` CLI
-  work unchanged.
+* ``POST /v1/predict`` — the unnamed route, answered by the hub's
+  *default* deployment.
 
 Malformed requests (invalid JSON, unknown fields, structurally invalid
 graphs, unsupported schema versions, unknown models) are mapped onto
@@ -44,8 +40,10 @@ get a structured 405 carrying an ``Allow`` header.
 
 :class:`ServingApp` holds the transport-independent routing/validation
 logic (testable without opening a socket); :class:`PredictionHTTPServer`
-binds it to a threading HTTP server and manages the hub's batcher and
-checkpoint-daemon lifecycle.
+binds it to a threading HTTP server and starts and stops the hub it
+serves.  Both take a :class:`~repro.serving.hub.ModelHub` or a
+:class:`~repro.serving.replica.ReplicaSupervisor` — a hand-built service
+is served by adopting it into a hub.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
-from .cache import CheckpointDaemon
 from .costmodel import OverCapacityError, retry_after_header
 from .deployment import DeploymentSpecError, deployment_spec_from_dict
 from .ensemble import EnsemblePredictionResult
@@ -76,7 +73,6 @@ from .serialization import (
     configuration_to_dict,
     program_graph_from_dict,
 )
-from .service import ServingFrontend
 from .stats import render_prometheus
 
 #: requests larger than this are rejected with 413 before being parsed.
@@ -84,9 +80,6 @@ DEFAULT_MAX_BODY_BYTES = 8 << 20  # 8 MiB
 
 #: how long one predict request may wait on the micro-batcher.
 DEFAULT_REQUEST_TIMEOUT_S = 30.0
-
-#: deployment name a bare service is adopted under by the legacy shims.
-DEFAULT_MODEL_NAME = "default"
 
 #: an app view: takes the (possibly absent) request body, returns the
 #: payload — a JSON-able dict, or a raw ``str`` served as ``text/plain``
@@ -232,44 +225,33 @@ class ServingApp:
     shuffler around it, which keeps the whole protocol unit-testable
     without sockets.
 
-    ``target`` is a :class:`~repro.serving.hub.ModelHub`, a
+    ``target`` is a :class:`~repro.serving.hub.ModelHub` or a
     :class:`~repro.serving.replica.ReplicaSupervisor` (same routing
-    surface, answered by a pool of worker processes), or — the legacy
-    shim, kept for PR-3 era callers — a bare
-    :class:`~repro.serving.service.ServingFrontend`, which is adopted into
-    a fresh one-deployment hub under the name ``"default"``.
+    surface, answered by a pool of worker processes).
     """
 
     def __init__(
         self,
-        target: Union[ModelHub, ReplicaSupervisor, ServingFrontend],
-        checkpoint: Optional[CheckpointDaemon] = None,
+        target: Union[ModelHub, ReplicaSupervisor],
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
     ):
         if request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
-        if isinstance(target, (ModelHub, ReplicaSupervisor)):
-            self.hub = target
-        else:
-            # Legacy shim: the adopted service keeps its own cache and
-            # batcher (enable_cache=False stops the wrapper hub from
-            # building an unused shared cache next to them).
-            self.hub = ModelHub(enable_cache=False)
-            self.hub.adopt(DEFAULT_MODEL_NAME, target)
-        self._own_checkpoint = checkpoint
+        if not isinstance(target, (ModelHub, ReplicaSupervisor)):
+            raise TypeError(
+                f"ServingApp serves a ModelHub or a ReplicaSupervisor, got "
+                f"{type(target).__name__}; adopt a hand-built service into a "
+                f"ModelHub first"
+            )
+        self.hub = target
         self.request_timeout_s = float(request_timeout_s)
         self._started = False
         self._started_monotonic = time.monotonic()
 
     # ----------------------------------------------------------- properties
     @property
-    def checkpoint(self) -> Optional[CheckpointDaemon]:
-        """The app-managed daemon (legacy shim) or the hub's own."""
-        return self._own_checkpoint or self.hub.checkpoint
-
-    @property
-    def service(self) -> Optional[ServingFrontend]:
-        """The default deployment's predictor (legacy accessor)."""
+    def service(self):
+        """The default deployment's predictor (``None`` without one)."""
         try:
             return self.hub.resolve(None).predictor
         except DeploymentNotFoundError:
@@ -277,22 +259,17 @@ class ServingApp:
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "ServingApp":
-        """Start the hub (every deployment's batcher + its daemon); an
-        app-level checkpoint daemon (legacy shim) starts alongside."""
+        """Start the hub (every deployment's batcher + its daemon)."""
         self.hub.start()
-        if self._own_checkpoint is not None:
-            self._own_checkpoint.start()
         self._started = True
         self._started_monotonic = time.monotonic()
         return self
 
     def stop(self) -> None:
-        """Drain the hub, then stop the daemon (final checkpoint last, so
-        results computed during the drain make it into the file)."""
+        """Drain the hub; it writes its final checkpoint last, so results
+        computed during the drain make it into the file."""
         self._started = False
         self.hub.stop()
-        if self._own_checkpoint is not None:
-            self._own_checkpoint.stop()
 
     # -------------------------------------------------------------- routing
     def handle(
@@ -416,12 +393,7 @@ class ServingApp:
     # --------------------------------------------------------------- views
     def healthz(self) -> Dict[str, object]:
         default = self.service
-        # The shared hub cache where there is one; the legacy shim falls
-        # back to the (sole) adopted service's private cache, preserving
-        # the PR-3 healthz shape exactly.
         cache = self.hub.cache
-        if cache is None and default is not None:
-            cache = default.cache
         return {
             "status": "ok",
             "uptime_s": time.monotonic() - self._started_monotonic,
@@ -437,20 +409,19 @@ class ServingApp:
                 "warm": bool(cache is not None and len(cache) > 0),
             },
             "checkpoint": (
-                self.checkpoint.stats() if self.checkpoint is not None else None
+                self.hub.checkpoint.stats() if self.hub.checkpoint is not None else None
             ),
         }
 
     def metrics(self, format: Optional[str] = None) -> Union[Dict[str, object], str]:
         default = self.service
         payload = {
-            # Legacy section: the default deployment's stats, exactly where
-            # PR-3 clients expect them.
+            # The default deployment's stats.
             "stats": default.snapshot() if default is not None else None,
             # Hub section: one stats entry per model + shared cache/pool.
             "hub": self.hub.snapshot(),
             "checkpoint": (
-                self.checkpoint.stats() if self.checkpoint is not None else None
+                self.hub.checkpoint.stats() if self.hub.checkpoint is not None else None
             ),
         }
         if format is None or format == "json":
@@ -800,9 +771,8 @@ class PredictionHTTPServer(ThreadingHTTPServer):
     binds an ephemeral port (read it back from :attr:`port`), which is
     what the tests use.
 
-    ``target`` is a :class:`~repro.serving.hub.ModelHub`, a
-    :class:`~repro.serving.replica.ReplicaSupervisor`, or — the legacy
-    single-model shim — a bare :class:`ServingFrontend`.
+    ``target`` is a :class:`~repro.serving.hub.ModelHub` or a
+    :class:`~repro.serving.replica.ReplicaSupervisor`.
 
     Handler threads are non-daemon on purpose: ``server_close()`` joins
     them (``block_on_close``), so by the time the batchers are drained and
@@ -815,19 +785,16 @@ class PredictionHTTPServer(ThreadingHTTPServer):
 
     def __init__(
         self,
-        target: Union[ModelHub, ReplicaSupervisor, ServingFrontend],
+        target: Union[ModelHub, ReplicaSupervisor],
         host: str = "127.0.0.1",
         port: int = 0,
-        checkpoint: Optional[CheckpointDaemon] = None,
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         quiet: bool = True,
     ):
         if max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
-        self.app = ServingApp(
-            target, checkpoint=checkpoint, request_timeout_s=request_timeout_s
-        )
+        self.app = ServingApp(target, request_timeout_s=request_timeout_s)
         self.max_body_bytes = int(max_body_bytes)
         self.quiet = quiet
         self._serve_thread: Optional[threading.Thread] = None

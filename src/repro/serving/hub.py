@@ -30,10 +30,9 @@ that ceiling:
   requests in between.
 
 The HTTP layer (:mod:`repro.serving.http`) routes
-``POST /v1/models/<name>/predict`` and friends straight onto a hub; the
-legacy single-model entry points construct a one-deployment hub under the
-hood, so existing callers and the ``repro-serve`` CLI keep working
-unchanged.
+``POST /v1/models/<name>/predict`` and friends straight onto a hub (or a
+replica pool of hubs); a hand-built service is served by adopting it into
+one (:meth:`ModelHub.adopt`).
 """
 
 from __future__ import annotations
@@ -66,6 +65,23 @@ from .journal import JournalWriter
 from .registry import ArtifactRegistry
 from .service import PredictionService, ServingFrontend
 from .stats import aggregate_snapshots
+
+
+def _best_effort_warm_up(cache: Optional[EmbeddingCache], path: Optional[str]) -> int:
+    """Load a cache dump if there is one; never fails the caller.
+
+    A missing, truncated or foreign warm-up file (e.g. a checkpoint torn
+    by a crashed disk, or a path another tool wrote to) degrades to a cold
+    start — a server must be able to boot past its own stale state.
+    Explicit :meth:`~repro.serving.service.ServingFrontend.warm_up` calls
+    still raise, so operators probing a specific file get the real error.
+    """
+    if cache is None or not path or not os.path.isfile(path):
+        return 0
+    try:
+        return cache.load(path)
+    except Exception:
+        return 0
 
 
 def _admission_guard(predictor: Predictor, count: int):
@@ -104,8 +120,8 @@ class Deployment:
 
     @property
     def adopted(self) -> bool:
-        """True when the predictor was handed over pre-built (legacy shim
-        path) rather than resolved from a spec — such deployments cannot
+        """True when the predictor was handed over pre-built rather than
+        resolved from a spec — such deployments cannot
         :meth:`~ModelHub.reload`."""
         return self.spec is None
 
@@ -123,9 +139,9 @@ class ModelHub:
     """Owns many named deployments behind one registry and one cache.
 
     ``registry`` may be an :class:`ArtifactRegistry`, a root path, or
-    ``None`` (a hub that only :meth:`adopt`\\ s pre-built predictors — the
-    legacy single-model shim).  The hub's shared cache/daemon/worker-pool
-    are created here; per-deployment knobs come from each spec.
+    ``None`` (a hub that only :meth:`adopt`\\ s pre-built predictors).
+    The hub's shared cache/daemon/worker-pool are created here;
+    per-deployment knobs come from each spec.
     """
 
     def __init__(
@@ -158,9 +174,7 @@ class ModelHub:
         self.cache: Optional[EmbeddingCache] = (
             EmbeddingCache(cache_capacity) if enable_cache else None
         )
-        # Same degrade-to-cold-start contract as the single services: a
-        # missing/torn warm-up file must never stop the hub from booting.
-        ServingFrontend._best_effort_warm_up(self.cache, warmup_path)
+        _best_effort_warm_up(self.cache, warmup_path)
         if checkpoint_path and self.cache is None:
             raise HubError("checkpoint_path requires the shared cache (enable_cache)")
         self.checkpoint: Optional[CheckpointDaemon] = (
@@ -210,10 +224,10 @@ class ModelHub:
     ) -> Deployment:
         """Install a pre-built predictor under ``name``.
 
-        This is the legacy shim path (``ServingApp`` wraps a bare service
-        in a one-deployment hub) and the escape hatch for predictors the
-        registry cannot express; without a ``spec`` the deployment cannot
-        be :meth:`reload`\\ ed.
+        The escape hatch for predictors the registry cannot express (a
+        hand-built service, a stub); build it with ``cache=hub.cache`` and
+        ``pool=hub.pool`` to share the hub's infrastructure.  Without a
+        ``spec`` the deployment cannot be :meth:`reload`\\ ed.
         """
         try:
             validate_deployment_name(name)
@@ -246,7 +260,7 @@ class ModelHub:
             if self._default == name:
                 remaining = list(self._deployments)
                 # Deterministic: a sole survivor inherits the default
-                # (legacy routes keep working); ambiguity clears it.
+                # (the unnamed routes keep working); ambiguity clears it.
                 self._default = remaining[0] if len(remaining) == 1 else None
         deployment.predictor.stop()
         return deployment
@@ -301,7 +315,7 @@ class ModelHub:
             del self._aliases[alias]
 
     def set_default(self, name: str) -> None:
-        """Choose which deployment answers the legacy unnamed routes."""
+        """Choose which deployment answers the unnamed routes."""
         with self._lock:
             if name not in self._deployments:
                 raise DeploymentNotFoundError(f"no deployment named {name!r}")
@@ -639,25 +653,28 @@ class ModelHub:
         # no cache at all (not a private one), so cache telemetry stays one
         # coherent table and a cache-less hub runs every request's batch.
         shared_cache = self.cache if spec.enable_cache else None
-        single = spec.kind == "single"
-        config = spec.service_config() if single else spec.ensemble_config()
-        config.enable_cache = shared_cache is not None
-        if single:
+        # All hub-built deployments share one worker pool.
+        knobs = dict(
+            batching=spec.batching,
+            latency_window=spec.latency_window,
+            cache=shared_cache,
+            pool=self.pool,
+        )
+        if spec.kind == "single":
             ref = self.registry.resolve(spec.artifact, spec.version)
             artifact = self.registry.load(ref.name, ref.version)
             predictor: ServingFrontend = PredictionService.from_artifact(
-                artifact, config=config, cache=shared_cache
+                artifact, **knobs
             )
         else:
             predictor = EnsemblePredictionService.from_registry(
                 self.registry.root,
                 spec.fold_group,
-                config=config,
                 folds=spec.folds,
-                cache=shared_cache,
+                strategy=spec.strategy,
+                **knobs,
             )
-        # All hub-built deployments share one worker pool.
-        predictor._batcher_factory = self.pool.batcher_factory
+        _best_effort_warm_up(shared_cache, spec.warmup_path)
         # Bound before install: the batcher this predictor builds on first
         # traffic must already know its deadline target.
         with self._lock:

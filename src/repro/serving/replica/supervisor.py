@@ -863,7 +863,10 @@ class ReplicaSupervisor:
         replies = self._introspect_broadcast("model_snapshot", {"name": canonical})
         snapshots = [reply["snapshot"] for _, reply in replies]
         windows = [reply["window"] for _, reply in replies]
-        merged = aggregate_snapshots(snapshots, latency_windows=windows)
+        stages = [reply["stages"] for _, reply in replies]
+        merged = aggregate_snapshots(
+            snapshots, latency_windows=windows, stage_windows=stages
+        )
         merged["replicas"] = len(snapshots)
         return merged
 
@@ -874,11 +877,14 @@ class ReplicaSupervisor:
         :func:`~repro.serving.stats.aggregate_snapshots`, feeding it the
         workers' *raw* latency windows so the pooled percentiles are real
         statistics over all replicas' samples (``merged_from_raw_windows``
-        stays true), never percentiles-of-percentiles.
+        stays true), never percentiles-of-percentiles.  Each model section
+        also pools the workers' raw stage windows into ``stages``, shaped
+        like one hub's per-model ``stages``.
         """
         replies = self._introspect_broadcast("metrics", {})
         model_snaps: Dict[str, List[Dict[str, object]]] = {}
         model_windows: Dict[str, List[List[float]]] = {}
+        model_stages: Dict[str, List[Dict[str, List[float]]]] = {}
         all_snaps: List[Dict[str, object]] = []
         all_windows: List[List[float]] = []
         per_replica: Dict[str, Dict[str, object]] = {}
@@ -887,6 +893,9 @@ class ReplicaSupervisor:
                 model_snaps.setdefault(model, []).append(snap)
                 window = (reply.get("windows") or {}).get(model, [])
                 model_windows.setdefault(model, []).append(window)
+                model_stages.setdefault(model, []).append(
+                    (reply.get("stages") or {}).get(model, {})
+                )
                 all_snaps.append(snap)
                 all_windows.append(window)
             per_replica[str(handle.slot)] = {
@@ -900,7 +909,9 @@ class ReplicaSupervisor:
             }
         models = {
             model: aggregate_snapshots(
-                snaps, latency_windows=model_windows[model]
+                snaps,
+                latency_windows=model_windows[model],
+                stage_windows=model_stages[model],
             )
             for model, snaps in model_snaps.items()
         }

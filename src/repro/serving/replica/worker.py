@@ -238,12 +238,12 @@ class ReplicaWorker:
         if what == "model_snapshot":
             predictor = hub.resolve(args.get("name")).predictor
             stats = getattr(predictor, "stats", None)
-            window = (
-                stats.latency_values()
-                if stats is not None and hasattr(stats, "latency_values")
-                else []
-            )
-            return {"snapshot": predictor.snapshot(), "window": window}
+            has_windows = stats is not None and hasattr(stats, "latency_values")
+            return {
+                "snapshot": predictor.snapshot(),
+                "window": stats.latency_values() if has_windows else [],
+                "stages": stats.stage_values() if has_windows else {},
+            }
         if what == "drift":
             return hub.model_drift(args.get("name"))
         if what == "capacity":
@@ -253,21 +253,24 @@ class ReplicaWorker:
         raise ReplicaError(f"unknown introspection {what!r}")
 
     def _metrics(self) -> Dict[str, object]:
-        """Per-model snapshots **plus raw latency windows** — the honest
-        inputs :func:`~repro.serving.stats.aggregate_snapshots` needs to
-        pool percentiles across replicas."""
+        """Per-model snapshots **plus raw latency and stage windows** — the
+        honest inputs :func:`~repro.serving.stats.aggregate_snapshots`
+        needs to pool percentiles across replicas."""
         hub = self._hub
         models: Dict[str, object] = {}
         windows: Dict[str, list] = {}
+        stages: Dict[str, Dict[str, list]] = {}
         for name in hub.names():
             predictor = hub.resolve(name).predictor
             models[name] = predictor.snapshot()
             stats = getattr(predictor, "stats", None)
             if stats is not None and hasattr(stats, "latency_values"):
                 windows[name] = stats.latency_values()
+                stages[name] = stats.stage_values()
         return {
             "models": models,
             "windows": windows,
+            "stages": stages,
             "cache": hub.cache.stats() if hub.cache is not None else None,
             "pool": hub.pool.telemetry(),
             "journal": hub.journal.stats() if hub.journal is not None else None,

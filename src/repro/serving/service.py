@@ -5,15 +5,22 @@ Turns the offline one-shot pipeline into a request-serving layer:
 * **sync** — :meth:`PredictionService.predict` / :meth:`predict_many`
   answer immediately, batching all cache misses of a call into as few RGCN
   forward passes as possible;
-* **async** — :meth:`start` spins up a :class:`MicroBatcher` thread;
-  :meth:`submit` enqueues a request and returns a future, and concurrent
-  requests are coalesced into micro-batches (up to ``max_batch_size``
-  requests or ``max_wait_s`` of queueing, whichever comes first);
+* **async** — :meth:`submit` enqueues a request on the front-end's
+  :class:`~repro.serving.batcher.PooledBatcher` and returns a future;
+  concurrent requests are coalesced into micro-batches (up to
+  ``batching.max_batch_size`` requests or ``batching.max_delay_s`` of
+  queueing, whichever comes first).  The queue is drained by the
+  :class:`~repro.serving.batcher.BatcherWorkerPool` passed as ``pool=``
+  (a hub passes its shared one) or, without one, by a private one-worker
+  pool the front-end builds on :meth:`start`/:meth:`submit` and closes on
+  :meth:`stop`;
 * **cache** — results are keyed on the canonical graph fingerprint, so
   repeated regions skip the RGCN forward pass and replay the cached
-  logits/graph vector.  (Encoding and fingerprinting are still paid per
-  request — the fingerprint *is* the cache key; submit pre-encoded
-  :class:`EncodedGraph` requests to amortise encoding too.)
+  logits/graph vector.  The caller passes the
+  :class:`~repro.serving.cache.EmbeddingCache` (or ``None``); a front-end
+  never builds or warms one of its own.  (Encoding and fingerprinting are
+  still paid per request — the fingerprint *is* the cache key; submit
+  pre-encoded :class:`EncodedGraph` requests to amortise encoding too.)
 
 Requests may be pre-encoded (:class:`EncodedGraph`) or raw
 (:class:`ProgramGraph`, encoded on arrival with the service's vocabulary).
@@ -23,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import time
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -43,7 +49,7 @@ from ..graphs.features import EncodedGraph, GraphEncoder
 from ..graphs.fingerprint import graph_fingerprint
 from ..graphs.graph import ProgramGraph
 from ..numasim.configuration import Configuration
-from .batcher import MicroBatcher
+from .batcher import BatcherWorkerPool, BatchingConfig, PooledBatcher
 from .cache import EmbeddingCache
 from .costmodel import (
     LatencyCostModel,
@@ -64,35 +70,6 @@ Request = Union[EncodedGraph, ProgramGraph]
 _BATCH_SEQ = itertools.count(1)
 
 
-@dataclass
-class ServiceConfig:
-    """Knobs of :class:`PredictionService`.
-
-    .. deprecated::
-        New code should declare deployments with
-        :class:`~repro.serving.deployment.DeploymentSpec` and serve them
-        through a :class:`~repro.serving.hub.ModelHub`, which subsumes
-        these knobs (and ``EnsembleConfig``'s) in one record.  This class
-        keeps working for directly-embedded single services.
-    """
-
-    max_batch_size: int = 32
-    max_wait_s: float = 0.002
-    cache_capacity: int = 1024
-    enable_cache: bool = True
-    latency_window: int = 4096
-    #: worker threads draining the micro-batch queue.  Inference is
-    #: stateless (no forward lock), so workers > 1 genuinely overlap
-    #: forward passes; 1 keeps batch formation deterministic.
-    batcher_workers: int = 1
-    #: optional path to an ``EmbeddingCache.dump`` file loaded at
-    #: construction (if it exists), so a restarted service starts hot.
-    warmup_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        validate_frontend_knobs(self)
-
-
 def _model_digest(model: StaticRGCNModel) -> str:
     """Digest of the exact weights, used to namespace cache keys."""
     hasher = hashlib.sha256()
@@ -100,21 +77,6 @@ def _model_digest(model: StaticRGCNModel) -> str:
         hasher.update(name.encode("utf-8"))
         hasher.update(np.ascontiguousarray(array).tobytes())
     return hasher.hexdigest()[:16]
-
-
-def validate_frontend_knobs(config) -> None:
-    """Range checks shared by :class:`ServiceConfig` and the ensemble's
-    :class:`~repro.serving.ensemble.EnsembleConfig` (identical knobs)."""
-    if config.max_batch_size < 1:
-        raise ValueError("max_batch_size must be >= 1")
-    if config.max_wait_s < 0:
-        raise ValueError("max_wait_s must be >= 0")
-    if config.cache_capacity < 1:
-        raise ValueError("cache_capacity must be >= 1")
-    if config.latency_window < 1:
-        raise ValueError("latency_window must be >= 1")
-    if config.batcher_workers < 1:
-        raise ValueError("batcher_workers must be >= 1")
 
 
 @dataclass
@@ -138,27 +100,38 @@ class PredictionResult:
 class ServingFrontend:
     """Shared plumbing of the serving front-ends.
 
-    Subclasses provide ``encoder``, ``cache``, a ``config`` carrying
-    ``max_batch_size``/``max_wait_s`` and the batch entry point
-    :meth:`predict_many`; this base contributes request
-    encoding/validation, the on-demand micro-batcher lifecycle behind
-    :meth:`submit`, and cache persistence for warm restarts — one
-    implementation for both the single-fold and the ensemble service.
+    Subclasses provide ``encoder`` and the model hooks behind
+    :meth:`predict_many` (``_forward_batch``, ``_build_result``, ...);
+    this base owns the serving knobs (``batching``, the stats
+    ``latency_window``, the caller's ``cache`` and batcher ``pool``) and
+    contributes request encoding/validation, the on-demand micro-batch
+    queue behind :meth:`submit`, and cache persistence for warm restarts —
+    one implementation for both the single-fold and the ensemble service.
     """
 
     encoder: GraphEncoder
-    cache: Optional[EmbeddingCache]
-    stats: ServingStats
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        batching: Optional[BatchingConfig] = None,
+        latency_window: int = 4096,
+        cache: Optional[EmbeddingCache] = None,
+        pool: Optional[BatcherWorkerPool] = None,
+    ) -> None:
+        self.batching = batching if batching is not None else BatchingConfig()
+        self.stats = ServingStats(latency_window=latency_window)
+        # Shared verbatim: a hub backs every deployment with one cache, and
+        # keys carry a model digest, so co-tenants never replay each
+        # other's logits.
+        self.cache = cache
         self._batcher_lock = TrackedLock("frontend.batcher")
-        self._batcher: Optional[MicroBatcher] = None
+        self._batcher: Optional[PooledBatcher] = None
         self._auto_start = False
-        #: optional MicroBatcher-compatible constructor; a
-        #: :class:`~repro.serving.hub.ModelHub` injects its shared
-        #: :meth:`~repro.serving.batcher.BatcherWorkerPool.batcher_factory`
-        #: here so every deployment shares one worker-thread pool.
-        self._batcher_factory = None
+        #: the pool draining this front-end's queue: the caller's (a hub
+        #: passes its shared pool) or, when none was given, a private
+        #: one-worker pool built on demand and closed by :meth:`stop`.
+        self._pool = pool
+        self._private_pool: Optional[BatcherWorkerPool] = None
         #: optional prediction journal (see :mod:`repro.serving.journal`);
         #: bound by the hub via :meth:`bind_journal`, ``None`` costs nothing.
         self._journal = None
@@ -192,7 +165,7 @@ class ServingFrontend:
             slo,
             cost_model,
             folds=self._fold_fanout(),
-            max_batch_size=self.config.max_batch_size,
+            max_batch_size=self.batching.max_batch_size,
             name=self._journal_model or "frontend",
         )
 
@@ -247,7 +220,7 @@ class ServingFrontend:
                 else None
             ),
             "folds": self._fold_fanout(),
-            "max_batch_size": self.config.max_batch_size,
+            "max_batch_size": self.batching.max_batch_size,
             "measured_p95_s": measured_p95_s,
             "within_slo": (
                 bool(measured_p95_s <= target_s) if target_s is not None else None
@@ -261,7 +234,7 @@ class ServingFrontend:
             entry["predicted"] = estimate_capacity(
                 model,
                 folds=self._fold_fanout(),
-                max_batch_size=self.config.max_batch_size,
+                max_batch_size=self.batching.max_batch_size,
                 p95_target_s=target_s,
             )
         return entry
@@ -338,8 +311,8 @@ class ServingFrontend:
 
         batch_sizes = [0] * len(encoded)  # 0 = answered from cache
         batch_infos: List[Optional[Dict[str, int]]] = [None] * len(encoded)
-        for offset in range(0, len(pending), self.config.max_batch_size):
-            chunk = pending[offset : offset + self.config.max_batch_size]
+        for offset in range(0, len(pending), self.batching.max_batch_size):
+            chunk = pending[offset : offset + self.batching.max_batch_size]
             chunk_graphs = [encoded[i] for i in chunk]
             batch = collate(chunk_graphs)
             # The collated shape, journalled with every member of the batch:
@@ -475,19 +448,21 @@ class ServingFrontend:
         ]
 
     # ---------------------------------------------------------- async path
-    def _ensure_batcher_locked(self) -> MicroBatcher:
-        """Create the batcher if absent; caller must hold ``_batcher_lock``."""
+    def _ensure_batcher_locked(self) -> PooledBatcher:
+        """Create the queue (and a private pool when no pool was given) if
+        absent; caller must hold ``_batcher_lock``."""
         if self._batcher is None:
-            factory = self._batcher_factory or MicroBatcher
-            self._batcher = factory(
+            pool = self._pool
+            if pool is None:
+                pool = self._private_pool = BatcherWorkerPool(workers=1)
+            self._batcher = pool.batcher_factory(
                 self.predict_many,
-                max_batch_size=self.config.max_batch_size,
-                max_wait_s=self.config.max_wait_s,
-                workers=getattr(self.config, "batcher_workers", 1),
+                max_batch_size=self.batching.max_batch_size,
+                max_wait_s=self.batching.max_delay_s,
                 fanout=self._fold_fanout(),
                 # Deadline-aware closing: the estimator reads the *current*
                 # cost model at call time, so a hot-reloaded calibration
-                # applies without rebuilding the batcher.  Inert until both
+                # applies without rebuilding the queue.  Inert until both
                 # a model and a p95 target are bound.
                 cost_estimator=self._estimate_batch_cost,
                 latency_target_s=self._latency_target_s,
@@ -495,7 +470,7 @@ class ServingFrontend:
         return self._batcher
 
     def start(self) -> "ServingFrontend":
-        """Start the micro-batching thread behind :meth:`submit`."""
+        """Start dispatching the micro-batch queue behind :meth:`submit`."""
         with self._batcher_lock:
             self._auto_start = True
             self._ensure_batcher_locked().start()
@@ -507,8 +482,9 @@ class ServingFrontend:
         Requests submitted before the first :meth:`start` queue up and are
         answered — typically as one batch — once the service starts; once a
         service has been started, later submits (including after a
-        :meth:`stop`) restart the batcher on demand.  Invalid requests are
-        rejected here, before they can poison a whole micro-batch.
+        :meth:`stop`) restart the queue (and a private pool) on demand.
+        Invalid requests are rejected here, before they can poison a whole
+        micro-batch.
         """
         encoded = self._encode(request)
         # Admission first: a shed request must never occupy queue space.
@@ -538,11 +514,15 @@ class ServingFrontend:
         return future
 
     def stop(self) -> None:
-        """Drain queued requests and stop the micro-batching thread."""
+        """Drain queued requests and detach from the pool; a private pool
+        is closed too (a shared one keeps serving its other queues)."""
         with self._batcher_lock:
             batcher, self._batcher = self._batcher, None
+            private, self._private_pool = self._private_pool, None
         if batcher is not None:
             batcher.close()
+        if private is not None:
+            private.close()
 
     def __enter__(self) -> "ServingFrontend":
         return self.start()
@@ -590,23 +570,6 @@ class ServingFrontend:
             raise RuntimeError("cache is disabled; cannot warm up")
         return self.cache.load(path)
 
-    @staticmethod
-    def _best_effort_warm_up(cache: Optional[EmbeddingCache], path: Optional[str]) -> int:
-        """Constructor-time warm-up: never fails the service.
-
-        A missing, truncated or foreign warm-up file (e.g. a checkpoint torn
-        by a crashed disk, or a path another tool wrote to) degrades to a
-        cold start — a server must be able to boot past its own stale state.
-        Explicit :meth:`warm_up` calls still raise, so operators probing a
-        specific file get the real error.
-        """
-        if cache is None or not path or not os.path.isfile(path):
-            return 0
-        try:
-            return cache.load(path)
-        except Exception:
-            return 0
-
     # ------------------------------------------------------------ internals
     def _encode(self, request: Request) -> EncodedGraph:
         if isinstance(request, EncodedGraph):
@@ -633,10 +596,12 @@ class PredictionService(ServingFrontend):
         encoder: GraphEncoder,
         label_space: Optional[LabelSpace] = None,
         hybrid: Optional[HybridStaticDynamicClassifier] = None,
-        config: Optional[ServiceConfig] = None,
+        *,
+        batching: Optional[BatchingConfig] = None,
+        latency_window: int = 4096,
         cache: Optional[EmbeddingCache] = None,
+        pool: Optional[BatcherWorkerPool] = None,
     ):
-        self.config = config or ServiceConfig()
         self.model = model
         self.model.eval()
         self.encoder = encoder
@@ -652,17 +617,6 @@ class PredictionService(ServingFrontend):
             )
         self.label_space = label_space
         self.hybrid = hybrid
-        self.stats = ServingStats(latency_window=self.config.latency_window)
-        # An externally provided cache is shared verbatim (the hub backs
-        # every deployment with one cache); keys carry the model digest, so
-        # co-tenants can never replay each other's logits.
-        if cache is not None:
-            self.cache: Optional[EmbeddingCache] = cache
-        elif self.config.enable_cache:
-            self.cache = EmbeddingCache(self.config.cache_capacity)
-        else:
-            self.cache = None
-        self._best_effort_warm_up(self.cache, self.config.warmup_path)
         # Cache keys carry a digest of the exact weights, so a warm-up file
         # dumped by a *different* model version never replays stale logits
         # — it simply never matches, degrading to a cold start.
@@ -673,36 +627,28 @@ class PredictionService(ServingFrontend):
         # No forward lock: inference runs through the stateless engine path
         # (``StaticRGCNModel.infer``), which never touches the training-time
         # activation caches, so concurrent micro-batches simply overlap.
-        super().__init__()
+        super().__init__(
+            batching=batching, latency_window=latency_window, cache=cache, pool=pool
+        )
 
     # --------------------------------------------------------- constructors
     @classmethod
-    def from_artifact(
-        cls,
-        artifact: LoadedArtifact,
-        config: Optional[ServiceConfig] = None,
-        cache: Optional[EmbeddingCache] = None,
-    ) -> "PredictionService":
-        """Build a service around a registry artefact."""
+    def from_artifact(cls, artifact: LoadedArtifact, **knobs) -> "PredictionService":
+        """Build a service around a registry artefact; ``knobs`` are the
+        constructor's serving keywords (``batching``, ``cache``, ...)."""
         service = cls(
             model=artifact.model,
             encoder=artifact.encoder,
             label_space=artifact.label_space,
             hybrid=artifact.hybrid,
-            config=config,
-            cache=cache,
+            **knobs,
         )
         service.artifact_ref = artifact.ref
         return service
 
     @classmethod
     def from_registry(
-        cls,
-        root: str,
-        name: str,
-        version: Optional[str] = None,
-        config: Optional[ServiceConfig] = None,
-        cache: Optional[EmbeddingCache] = None,
+        cls, root: str, name: str, version: Optional[str] = None, **knobs
     ) -> "PredictionService":
         """Load (and integrity-check) an artefact, then serve it."""
         registry = ArtifactRegistry(root)
@@ -710,7 +656,7 @@ class PredictionService(ServingFrontend):
         # works on a concrete, validated ref.
         ref = registry.resolve(name, version)
         artifact = registry.load(ref.name, ref.version)
-        return cls.from_artifact(artifact, config=config, cache=cache)
+        return cls.from_artifact(artifact, **knobs)
 
     # -------------------------------------------------------------- export
     def describe(self) -> Dict[str, object]:

@@ -20,9 +20,19 @@ import numpy as np
 from ..concurrency import TrackedLock
 
 
+def _stage_summary(values: np.ndarray) -> Dict[str, object]:
+    """One stage's entry in a ``stages`` section."""
+    return {
+        "count": int(values.size),
+        "p50_s": float(np.percentile(values, 50.0)),
+        "p95_s": float(np.percentile(values, 95.0)),
+    }
+
+
 def aggregate_snapshots(
     snapshots: Iterable[Dict[str, object]],
     latency_windows: Optional[Iterable[Sequence[float]]] = None,
+    stage_windows: Optional[Iterable[Dict[str, Sequence[float]]]] = None,
 ) -> Dict[str, object]:
     """Hub-level roll-up of several :meth:`ServingStats.snapshot` dicts.
 
@@ -39,7 +49,10 @@ def aggregate_snapshots(
     models' *raw* latency windows (``ServingStats.latency_values()``), in
     which case true pooled percentiles are computed over the concatenated
     samples (this is what :meth:`repro.serving.hub.ModelHub.snapshot`
-    does).
+    does).  Per-stage spans follow the same rule: given the raw stage
+    windows (``ServingStats.stage_values()``) the roll-up gains a
+    ``stages`` section shaped like :meth:`ServingStats.snapshot`'s, pooled
+    over every window; without them it has none.
     """
     models = 0
     total_requests = 0
@@ -84,7 +97,7 @@ def aggregate_snapshots(
                 "raw latency windows, or read them per model"
             ),
         }
-    return {
+    aggregate: Dict[str, object] = {
         "models": models,
         "total_requests": total_requests,
         "cache_hits": cache_hits,
@@ -100,6 +113,17 @@ def aggregate_snapshots(
             "mean_fold_fanout": fanned_folds / plans_built if plans_built else 0.0,
         },
     }
+    if stage_windows is not None:
+        pooled_stages: Dict[str, List[float]] = {}
+        for windows in stage_windows:
+            for stage, window in windows.items():
+                pooled_stages.setdefault(stage, []).extend(window)
+        aggregate["stages"] = {
+            stage: _stage_summary(np.asarray(values, dtype=np.float64))
+            for stage, values in sorted(pooled_stages.items())
+            if values
+        }
+    return aggregate
 
 
 class ServingStats:
@@ -240,6 +264,16 @@ class ServingStats:
         with self._lock:
             return list(self._latencies)
 
+    def stage_values(self) -> Dict[str, List[float]]:
+        """The raw per-stage span windows (oldest first), for
+        :func:`aggregate_snapshots` to pool across processes."""
+        with self._lock:
+            return {
+                stage: list(window)
+                for stage, window in self._stages.items()
+                if window
+            }
+
     # -------------------------------------------------------------- export
     def snapshot(self) -> Dict[str, object]:
         """One JSON-friendly view of every metric.
@@ -298,11 +332,7 @@ class ServingStats:
             # Per-stage span percentiles from the trace layer; a stage is
             # present once it has been measured at least once.
             "stages": {
-                stage: {
-                    "count": int(values.size),
-                    "p50_s": float(np.percentile(values, 50.0)),
-                    "p95_s": float(np.percentile(values, 95.0)),
-                }
+                stage: _stage_summary(values)
                 for stage, values in stage_arrays.items()
             },
         }

@@ -5,7 +5,3 @@ __all__ = ["exists", "ghost", "exists"]
 
 def exists():
     return True
-
-
-class ServiceConfig:
-    """A legacy shim whose docstring forgets to say it is legacy."""

@@ -78,12 +78,11 @@ class TestRulesOnFixtures:
         assert any("path-like name 'root'" in m for m in messages)
         assert any("'obj.name'" in m for m in messages)
 
-    def test_api_surface_flags_all_drift_and_missing_deprecation(self):
+    def test_api_surface_flags_all_drift(self):
         findings = fixture_findings("bad_api_surface.py", "api-surface")
         messages = [f["message"] for f in findings]
         assert any("__all__ exports 'ghost'" in m for m in messages)
         assert any("duplicate __all__ entry 'exists'" in m for m in messages)
-        assert any("ServiceConfig" in m and "deprecation" in m for m in messages)
 
     def test_rpc_parity_flags_every_drift_direction(self):
         findings = fixture_findings("bad_rpc_parity.py", "rpc-parity")

@@ -9,8 +9,9 @@ SLO-aware shedding under burst through the full HTTP app (structured
 "over-capacity" 429s with ``Retry-After``, zero 500s, co-tenant
 unaffected), the capacity report (``GET /v1/capacity``), operator
 quarantine ("deployment-quarantined" 503s), the nested
-``batching``/``slo`` spec blocks with their legacy-knob shims, and the
-``repro-serve`` CLI's machine-readable error convention.
+``batching``/``slo`` spec blocks (and the retired flat knobs the wire
+rejects), and the ``repro-serve`` CLI's machine-readable error
+convention.
 """
 
 import json
@@ -38,7 +39,6 @@ from repro.serving import (
     DeploymentSpecError,
     JournalReader,
     LatencyCostModel,
-    MicroBatcher,
     ModelHub,
     OverCapacityError,
     SLOConfig,
@@ -386,6 +386,17 @@ class TestDeadlineClosing:
             batcher.close()
         return sizes
 
+    def pooled(self, runner, cost_estimator):
+        pool = BatcherWorkerPool(workers=1)
+        batcher = pool.batcher_factory(
+            runner,
+            max_batch_size=16,
+            max_wait_s=0.05,
+            cost_estimator=cost_estimator,
+            latency_target_s=0.01,
+        )
+        return pool, batcher
+
     def test_microbatcher_seals_at_predicted_deadline(self):
         sizes = []
 
@@ -393,37 +404,23 @@ class TestDeadlineClosing:
             sizes.append(len(batch))
             return list(batch)
 
-        batcher = MicroBatcher(
-            runner,
-            max_batch_size=16,
-            max_wait_s=0.05,
-            cost_estimator=lambda items: 0.004 * len(items),
-            latency_target_s=0.01,
-        )
-        self_sizes = sizes
-        self.run_burst(batcher)
-        assert self_sizes  # something ran
+        pool, batcher = self.pooled(runner, lambda items: 0.004 * len(items))
+        with pool:
+            self.run_burst(batcher)
+        assert sizes  # something ran
         # 3 items predict 12ms > 10ms target: every sealed batch holds <= 2.
-        assert max(self_sizes) <= 2
+        assert max(sizes) <= 2
         assert batcher.telemetry()["deadline_sealed"] >= 1
-        for size in self_sizes:
+        for size in sizes:
             assert 0.004 * size <= 0.01
 
     def test_microbatcher_estimator_abstains(self):
-        sizes = []
-
-        def runner(batch):
-            sizes.append(len(batch))
-            return list(batch)
-
-        batcher = MicroBatcher(
-            runner,
-            max_batch_size=16,
-            max_wait_s=0.05,
-            cost_estimator=lambda items: None,  # no model bound yet
-            latency_target_s=0.01,
+        pool, batcher = self.pooled(
+            lambda batch: list(batch),
+            lambda items: None,  # no model bound yet
         )
-        self.run_burst(batcher)
+        with pool:
+            self.run_burst(batcher)
         assert batcher.telemetry()["deadline_sealed"] == 0
 
     def test_pooled_batcher_seals_at_predicted_deadline(self):
@@ -452,7 +449,9 @@ class TestDeadlineClosing:
 
     def test_deadline_knobs_validated(self):
         with pytest.raises(ValueError, match="latency_target_s"):
-            MicroBatcher(lambda items: items, latency_target_s=0.0)
+            BatcherWorkerPool(workers=1).batcher_factory(
+                lambda items: items, latency_target_s=0.0
+            )
 
 
 # ------------------------------------------------------ admission control
@@ -856,49 +855,32 @@ class TestSpecSLOBlocks:
         spec = DeploymentSpec(
             name="m",
             artifact="demo",
-            batching=BatchingConfig(max_batch_size=4, max_delay_s=0.01, workers=2),
+            batching=BatchingConfig(max_batch_size=4, max_delay_s=0.01),
             slo=SLOConfig(p95_ms=25.0, max_concurrency=8, shed_policy="shed"),
         )
         data = deployment_spec_to_dict(spec)
-        assert data["batching"] == {
-            "max_batch_size": 4,
-            "max_delay_s": 0.01,
-            "workers": 2,
-        }
+        assert data["batching"] == {"max_batch_size": 4, "max_delay_s": 0.01}
         assert data["slo"]["p95_ms"] == 25.0
-        # The canonical wire form carries no legacy flat knobs.
-        assert "max_wait_s" not in data and "batcher_workers" not in data
         assert deployment_spec_from_dict(data) == spec
 
-    def test_legacy_flat_knobs_fold_into_batching(self):
-        legacy = DeploymentSpec(
-            name="m", artifact="demo", max_batch_size=4, max_wait_s=0.01
-        )
-        nested = DeploymentSpec(
-            name="m",
-            artifact="demo",
-            batching=BatchingConfig(max_batch_size=4, max_delay_s=0.01),
-        )
-        assert legacy == nested
-        assert legacy.batching == nested.batching
-        # The flat mirrors keep legacy readers (service_config projection,
-        # direct attribute reads) working unchanged.
-        assert legacy.max_batch_size == 4
-        assert legacy.service_config().max_wait_s == 0.01
-        # Legacy wire payloads still decode.
-        decoded = deployment_spec_from_dict(
-            {"name": "m", "artifact": "demo", "max_batch_size": 4,
-             "max_wait_s": 0.01}
-        )
-        assert decoded == nested
+    def test_absent_batching_block_takes_the_defaults(self):
+        spec = DeploymentSpec(name="m", artifact="demo")
+        assert spec.batching == BatchingConfig()
+        assert deployment_spec_from_dict(
+            {"name": "m", "artifact": "demo", "batching": None}
+        ) == spec
 
-    def test_mixing_spellings_is_rejected(self):
-        with pytest.raises(DeploymentSpecError, match="conflict"):
-            DeploymentSpec(
-                name="m",
-                artifact="demo",
-                max_batch_size=4,
-                batching=BatchingConfig(),
+    @pytest.mark.parametrize(
+        "field", ["max_batch_size", "max_wait_s", "batcher_workers", "cache_capacity"]
+    )
+    def test_retired_knobs_rejected(self, field):
+        with pytest.raises(DeploymentSpecError, match=field):
+            deployment_spec_from_dict({"name": "m", "artifact": "demo", field: 4})
+
+    def test_batching_workers_is_rejected_on_the_wire(self):
+        with pytest.raises(DeploymentSpecError, match="workers"):
+            deployment_spec_from_dict(
+                {"name": "m", "artifact": "demo", "batching": {"workers": 2}}
             )
 
     def test_block_validation(self):
@@ -960,6 +942,19 @@ class TestServeCLIErrors:
         code, err = self.run_main(["--root", str(tmp_path)], capsys)
         assert code == 2
         self.assert_json_error(err, "invalid-config")
+
+    @pytest.mark.parametrize("replicas", [[], ["--replicas", "2"]])
+    def test_zero_cache_capacity_is_invalid_config(
+        self, registry_root, capsys, replicas
+    ):
+        code, err = self.run_main(
+            ["--root", registry_root, "--name", "demo", "--cache-capacity", "0"]
+            + replicas,
+            capsys,
+        )
+        assert code == 2
+        self.assert_json_error(err, "invalid-config")
+        assert "--cache-capacity" in err
 
     def test_missing_cost_model_is_invalid_config(self, registry_root, capsys):
         code, err = self.run_main(

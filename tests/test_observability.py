@@ -20,15 +20,15 @@ from repro.core import StaticConfigurationPredictor, StaticModelConfig
 from repro.graphs import GraphBuilder, GraphEncoder
 from repro.serving import (
     ArtifactRegistry,
+    BatchingConfig,
     DeploymentSpec,
     DriftConfig,
-    EnsembleConfig,
+    EmbeddingCache,
     EnsemblePredictionService,
     JournalReader,
     JournalWriter,
     ModelHub,
     PredictionService,
-    ServiceConfig,
     ServingApp,
     ServingStats,
     aggregate_snapshots,
@@ -80,11 +80,13 @@ def registry_root(tmp_path_factory):
     return str(root)
 
 
-def make_service(registry_root, **overrides):
-    defaults = dict(max_batch_size=16, max_wait_s=0.01)
-    defaults.update(overrides)
+def make_service(registry_root):
     artifact = ArtifactRegistry(registry_root).load("demo")
-    return PredictionService.from_artifact(artifact, config=ServiceConfig(**defaults))
+    return PredictionService.from_artifact(
+        artifact,
+        batching=BatchingConfig(max_batch_size=16, max_delay_s=0.01),
+        cache=EmbeddingCache(1024),
+    )
 
 
 # ------------------------------------------------------------- trace layer
@@ -138,7 +140,10 @@ class TestServiceTraces:
 
     def test_ensemble_traces(self, registry_root, raw_graphs):
         service = EnsemblePredictionService.from_registry(
-            registry_root, "ens", config=EnsembleConfig(max_batch_size=16)
+            registry_root,
+            "ens",
+            batching=BatchingConfig(max_batch_size=16),
+            cache=EmbeddingCache(1024),
         )
         result = service.predict(raw_graphs[0])
         assert set(result.trace) == MISS_SPANS
@@ -446,10 +451,14 @@ class TestObservabilityEndToEnd:
         #    versions, offline.
         registry = ArtifactRegistry(registry_root)
         side_a = PredictionService.from_artifact(
-            registry.load("demo", "v0001"), config=ServiceConfig(max_batch_size=16)
+            registry.load("demo", "v0001"),
+            batching=BatchingConfig(max_batch_size=16),
+            cache=EmbeddingCache(1024),
         )
         side_b = PredictionService.from_artifact(
-            registry.load("demo", "v0002"), config=ServiceConfig(max_batch_size=16)
+            registry.load("demo", "v0002"),
+            batching=BatchingConfig(max_batch_size=16),
+            cache=EmbeddingCache(1024),
         )
         report = replay_ab(
             new_records, side_a, side_b, names=("v0001", "v0002")

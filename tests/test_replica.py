@@ -379,6 +379,34 @@ class TestCachelessRouting:
         assert sum(sizes) == repeats
         assert max(sizes) - min(sizes) <= 1
 
+    def test_pool_metrics_pool_every_slots_stage_windows(
+        self, registry_root, raw_graphs
+    ):
+        config = make_config(registry_root, enable_cache=False)
+        stages = ("queue_wait", "cache_lookup", "plan_build", "infer", "combine")
+        with ReplicaSupervisor(config) as pool:
+            # Async submits (queue_wait) dealt least-pending over both
+            # slots, then a sync batch (dealt evenly) for the rest.
+            futures = [pool.submit("demo", graph) for graph in raw_graphs * 2]
+            for future in futures:
+                future.result(timeout=60)
+            pool.predict_many("demo", raw_graphs)
+            section = pool.snapshot()["models"]["demo"]
+            per_slot = [
+                reply["snapshot"]["stages"]
+                for _, reply in pool._introspect_broadcast(
+                    "model_snapshot", {"name": "demo"}
+                )
+            ]
+        assert len(per_slot) == 2
+        for stage in stages:
+            counts = [slot[stage]["count"] for slot in per_slot]
+            assert all(count > 0 for count in counts), (stage, counts)
+            pooled = section["stages"][stage]
+            assert pooled["count"] == sum(counts)
+            assert set(pooled) == {"count", "p50_s", "p95_s"}
+            assert 0.0 <= pooled["p50_s"] <= pooled["p95_s"]
+
     def test_threaded_repeats_reach_both_replicas(self, registry_root, raw_graphs):
         config = make_config(registry_root, enable_cache=False)
         with ReplicaSupervisor(config) as pool:

@@ -19,13 +19,14 @@ from repro.serving import (
     ArtifactIntegrityError,
     ArtifactNotFoundError,
     ArtifactRegistry,
+    BatcherWorkerPool,
+    BatchingConfig,
+    DeploymentSpec,
     EmbeddingCache,
-    EnsembleConfig,
     EnsemblePredictionService,
-    MicroBatcher,
+    ModelHub,
     PredictionService,
     SerializationError,
-    ServiceConfig,
     ServingStats,
     combine_majority_vote,
     combine_mean_softmax,
@@ -554,7 +555,13 @@ class TestServingStats:
 # ----------------------------------------------------------------- batcher
 
 
-class TestMicroBatcher:
+def pooled_queue(runner, workers=1, **knobs):
+    """A fresh one-queue pool: ``(pool, queue)``; tests close the pool."""
+    pool = BatcherWorkerPool(workers=workers)
+    return pool, pool.batcher_factory(runner, **knobs)
+
+
+class TestPooledBatcher:
     def test_batches_respect_max_size_and_order(self):
         batches = []
 
@@ -562,9 +569,9 @@ class TestMicroBatcher:
             batches.append(len(items))
             return [item * 10 for item in items]
 
-        batcher = MicroBatcher(runner, max_batch_size=4, max_wait_s=0.01)
+        pool, batcher = pooled_queue(runner, max_batch_size=4, max_wait_s=0.01)
         futures = [batcher.submit(i) for i in range(10)]
-        with batcher:
+        with pool, batcher:
             results = [future.result(timeout=5) for future in futures]
         assert results == [i * 10 for i in range(10)]
         assert batches[0] == 4  # pre-start queue drains in full batches
@@ -575,24 +582,27 @@ class TestMicroBatcher:
         def runner(items):
             raise RuntimeError("boom")
 
-        with MicroBatcher(runner, max_batch_size=2, max_wait_s=0.001) as batcher:
+        pool, batcher = pooled_queue(runner, max_batch_size=2, max_wait_s=0.001)
+        with pool, batcher:
             future = batcher.submit(1)
             with pytest.raises(RuntimeError, match="boom"):
                 future.result(timeout=5)
 
     def test_submit_after_close_rejected(self):
-        batcher = MicroBatcher(lambda items: items, max_batch_size=2)
-        batcher.start()
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.submit(1)
+        pool, batcher = pooled_queue(lambda items: items, max_batch_size=2)
+        with pool:
+            batcher.start()
+            batcher.close()
+            with pytest.raises(RuntimeError):
+                batcher.submit(1)
 
     def test_close_without_start_fails_queued_futures(self):
-        batcher = MicroBatcher(lambda items: items, max_batch_size=2)
+        pool, batcher = pooled_queue(lambda items: items, max_batch_size=2)
         future = batcher.submit(1)
         batcher.close()
         with pytest.raises(RuntimeError, match="before start"):
             future.result(timeout=5)
+        pool.close()
 
     def test_started_close_drains_queue(self):
         import time as time_module
@@ -601,27 +611,31 @@ class TestMicroBatcher:
             time_module.sleep(0.02)
             return items
 
-        batcher = MicroBatcher(slow_runner, max_batch_size=1, max_wait_s=0.0)
+        pool, batcher = pooled_queue(slow_runner, max_batch_size=1, max_wait_s=0.0)
         futures = [batcher.submit(i) for i in range(4)]
         batcher.start()
-        # Even with a join timeout shorter than the drain, queued futures
+        # Even with a close timeout shorter than the drain, queued futures
         # must be served by the live worker, not failed spuriously.
         batcher.close(timeout=0.01)
         assert [future.result(timeout=5) for future in futures] == [0, 1, 2, 3]
+        pool.close()
 
     def test_cancelled_future_does_not_kill_the_batcher(self):
-        batcher = MicroBatcher(lambda items: [i * 10 for i in items], max_batch_size=4)
+        pool, batcher = pooled_queue(
+            lambda items: [i * 10 for i in items], max_batch_size=4
+        )
         doomed = batcher.submit(1)
         assert doomed.cancel()  # cancelled while queued, before start
         survivor = batcher.submit(2)
-        with batcher:
-            # The thread must skip the cancelled future and keep serving.
+        with pool, batcher:
+            # The worker must skip the cancelled future and keep serving.
             assert survivor.result(timeout=5) == 20
             late = batcher.submit(3)
             assert late.result(timeout=5) == 30
 
     def test_result_count_mismatch_is_an_error(self):
-        with MicroBatcher(lambda items: [], max_batch_size=2, max_wait_s=0.001) as batcher:
+        pool, batcher = pooled_queue(lambda items: [], max_batch_size=2, max_wait_s=0.001)
+        with pool, batcher:
             future = batcher.submit(1)
             with pytest.raises(RuntimeError, match="results"):
                 future.result(timeout=5)
@@ -637,7 +651,7 @@ class TestMicroBatcher:
             release.wait(timeout=10)
             return items
 
-        batcher = MicroBatcher(runner, max_batch_size=1, max_wait_s=0.0)
+        pool, batcher = pooled_queue(runner, max_batch_size=1, max_wait_s=0.0)
         batcher.start()
         in_flight = batcher.submit("in-flight")
         assert started.wait(timeout=10)
@@ -651,6 +665,7 @@ class TestMicroBatcher:
         assert not closer.is_alive()
         with pytest.raises(RuntimeError):
             batcher.submit("too late")
+        pool.close()
 
     def test_cancelled_future_in_mixed_batch_is_skipped(self):
         batches = []
@@ -659,12 +674,12 @@ class TestMicroBatcher:
             batches.append(list(items))
             return [item * 10 for item in items]
 
-        batcher = MicroBatcher(runner, max_batch_size=4)
+        pool, batcher = pooled_queue(runner, max_batch_size=4)
         keep_first = batcher.submit(1)
         doomed = batcher.submit(2)
         keep_second = batcher.submit(3)
         assert doomed.cancel()
-        with batcher:
+        with pool, batcher:
             # The live neighbours of a cancelled future still get answers,
             # mapped to the right items.
             assert keep_first.result(timeout=5) == 10
@@ -673,19 +688,20 @@ class TestMicroBatcher:
         assert doomed.cancelled()
 
     def test_restart_after_close_is_rejected(self):
-        batcher = MicroBatcher(lambda items: items, max_batch_size=2)
-        with batcher:
-            pass
-        with pytest.raises(RuntimeError, match="closed"):
-            batcher.start()
+        pool, batcher = pooled_queue(lambda items: items, max_batch_size=2)
+        with pool:
+            with batcher:
+                pass
+            with pytest.raises(RuntimeError, match="closed"):
+                batcher.start()
 
 
-class TestMicroBatcherScheduling:
+class TestPooledBatcherScheduling:
     def test_workers_and_fanout_validated(self):
         with pytest.raises(ValueError, match="workers"):
-            MicroBatcher(lambda items: items, workers=0)
+            BatcherWorkerPool(workers=0)
         with pytest.raises(ValueError, match="fanout"):
-            MicroBatcher(lambda items: items, fanout=0)
+            pooled_queue(lambda items: items, fanout=0)
 
     def test_multiple_workers_drain_concurrently(self):
         """With a reentrant runner, two workers genuinely overlap batches —
@@ -706,18 +722,19 @@ class TestMicroBatcherScheduling:
                 in_flight.pop()
             return [item * 2 for item in items]
 
-        with MicroBatcher(runner, max_batch_size=1, max_wait_s=0.0, workers=2) as batcher:
+        pool, batcher = pooled_queue(runner, workers=2, max_batch_size=1, max_wait_s=0.0)
+        with pool, batcher:
             futures = [batcher.submit(i) for i in range(6)]
             results = [future.result(timeout=10) for future in futures]
         assert results == [0, 2, 4, 6, 8, 10]
         assert overlap_seen.is_set()
 
     def test_telemetry_reports_fanout_and_dispatches(self):
-        batcher = MicroBatcher(lambda items: items, max_batch_size=4, fanout=5)
+        pool, batcher = pooled_queue(lambda items: items, max_batch_size=4, fanout=5)
         telemetry = batcher.telemetry()
         assert telemetry["fanout"] == 5
         assert telemetry["batches_dispatched"] == 0
-        with batcher:
+        with pool, batcher:
             futures = [batcher.submit(i) for i in range(4)]
             [future.result(timeout=10) for future in futures]
             telemetry = batcher.telemetry()
@@ -731,39 +748,64 @@ class TestMicroBatcherScheduling:
             processed.extend(items)
             return items
 
-        batcher = MicroBatcher(runner, max_batch_size=2, workers=3).start()
+        pool, batcher = pooled_queue(runner, workers=3, max_batch_size=2)
+        batcher.start()
         futures = [batcher.submit(i) for i in range(20)]
         batcher.close()
         for future in futures:
             assert future.done()
         assert sorted(processed) == list(range(20))
+        pool.close()
 
 
 # ----------------------------------------------------------------- service
 
 
-def make_service(predictor, **overrides):
-    defaults = dict(max_batch_size=32, max_wait_s=0.02, cache_capacity=64)
-    defaults.update(overrides)
+def make_service(
+    predictor,
+    max_batch_size=32,
+    max_delay_s=0.02,
+    enable_cache=True,
+    cache=None,
+    **knobs,
+):
+    """A standalone service with its own 64-entry cache (unless disabled
+    or handed one); ``knobs`` go to the constructor (``pool``, ...)."""
+    if cache is None and enable_cache:
+        cache = EmbeddingCache(64)
     return PredictionService(
         model=predictor.model,
         encoder=predictor.encoder,
-        config=ServiceConfig(**defaults),
+        batching=BatchingConfig(max_batch_size=max_batch_size, max_delay_s=max_delay_s),
+        cache=cache,
+        **knobs,
     )
 
 
+def adopted_into_hub(predictor, **hub_knobs):
+    """A one-deployment hub serving a hand-built service over the hub's
+    cache (warmed from ``warmup_path``, best-effort) and pool."""
+    hub = ModelHub(**hub_knobs)
+    service = make_service(predictor, cache=hub.cache, pool=hub.pool)
+    hub.adopt("default", service)
+    return hub, service
+
+
 class TestPredictionService:
-    def test_service_config_validates_knobs(self):
+    def test_service_config_validates_knobs(self, predictor):
         for bad in (
             dict(max_batch_size=0),
             dict(max_batch_size=-1),
-            dict(max_wait_s=-0.1),
-            dict(cache_capacity=0),
-            dict(latency_window=0),
-            dict(batcher_workers=0),
+            dict(max_delay_s=-0.1),
         ):
             with pytest.raises(ValueError):
-                ServiceConfig(**bad)
+                BatchingConfig(**bad)
+        with pytest.raises(ValueError):
+            EmbeddingCache(0)
+        with pytest.raises(ValueError):
+            make_service(predictor, latency_window=0)
+        with pytest.raises(ValueError):
+            BatcherWorkerPool(workers=0)
 
     def test_micro_batched_identical_to_per_request(self, predictor, sample_graphs):
         service = make_service(predictor, enable_cache=False)
@@ -862,8 +904,8 @@ class TestPredictionService:
         path = str(tmp_path / "warm.npz")
         assert service.dump_cache(path) == len(service.cache)
 
-        warmed = make_service(predictor, warmup_path=path)
-        first = warmed.predict(sample_graphs[0])
+        hub, _ = adopted_into_hub(predictor, cache_capacity=64, warmup_path=path)
+        first = hub.predict(None, sample_graphs[0])
         # The very first request after a restart is already a hit ...
         assert first.cache_hit
         assert first.label == cold[0].label
@@ -874,8 +916,10 @@ class TestPredictionService:
         assert fresh.predict(sample_graphs[1]).cache_hit
 
     def test_missing_warmup_path_is_a_cold_start(self, predictor, sample_graphs, tmp_path):
-        service = make_service(predictor, warmup_path=str(tmp_path / "absent.npz"))
-        assert not service.predict(sample_graphs[0]).cache_hit
+        hub, _ = adopted_into_hub(
+            predictor, cache_capacity=64, warmup_path=str(tmp_path / "absent.npz")
+        )
+        assert not hub.predict(None, sample_graphs[0]).cache_hit
 
     def test_warm_up_from_a_different_model_stays_cold(
         self, predictor, sample_graphs, tmp_path
@@ -888,8 +932,8 @@ class TestPredictionService:
         old_service.dump_cache(path)
 
         retrained = small_predictor(seed=99)
-        new_service = make_service(retrained, warmup_path=path)
-        result = new_service.predict(sample_graphs[0])
+        hub, _ = adopted_into_hub(retrained, cache_capacity=64, warmup_path=path)
+        result = hub.predict(None, sample_graphs[0])
         assert not result.cache_hit
         assert not np.array_equal(result.probabilities, old_results[0].probabilities)
 
@@ -921,8 +965,9 @@ class TestPredictionService:
         service.stop()
 
     def test_repeated_stop_restart_cycles(self, predictor, sample_graphs):
-        # Each stop() closes a MicroBatcher for good; the service must hand
-        # every later submit a fresh one, any number of times.
+        # Each stop() closes the queue and its private pool for good; the
+        # service must hand every later submit fresh ones, any number of
+        # times.
         service = make_service(predictor)
         expected = service.predict(sample_graphs[0]).label
         service.start()
@@ -935,7 +980,7 @@ class TestPredictionService:
         sync_service = make_service(predictor, enable_cache=False)
         expected = [result.label for result in sync_service.predict_many(sample_graphs)]
 
-        service = make_service(predictor, enable_cache=False, max_wait_s=0.05)
+        service = make_service(predictor, enable_cache=False, max_delay_s=0.05)
         futures = [service.submit(graph) for graph in sample_graphs]
         with service:
             results = [future.result(timeout=10) for future in futures]
@@ -943,6 +988,61 @@ class TestPredictionService:
         # The pre-start queue was answered in one micro-batch.
         assert service.stats.total_batches == 1
         assert service.stats.batch_histogram == {len(sample_graphs): 1}
+
+
+def _batcher_threads(exclude=()):
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-hub-batcher-") and thread not in exclude
+    ]
+
+
+class TestFrontendPool:
+    """A standalone front-end drains its queue with a private one-worker
+    pool that lives from the first start()/submit() to stop(); a hub
+    deployment drains through the hub's shared pool, which its stop()
+    must leave running."""
+
+    def test_stop_joins_the_private_pool_threads(self, predictor, sample_graphs):
+        before = set(threading.enumerate())
+        service = make_service(predictor).start()
+        service.submit(sample_graphs[0]).result(timeout=10)
+        threads = _batcher_threads(exclude=before)
+        assert len(threads) == 1  # one private worker
+        service.stop()
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_submit_restarts_the_private_pool_on_demand(self, predictor, sample_graphs):
+        service = make_service(predictor)
+        expected = service.predict(sample_graphs[0]).label
+        for cycle in range(3):
+            before = set(threading.enumerate())
+            if cycle == 0:
+                service.start()  # later cycles restart from submit() alone
+            assert service.submit(sample_graphs[0]).result(timeout=10).label == expected
+            threads = _batcher_threads(exclude=before)
+            assert threads and all(thread.is_alive() for thread in threads)
+            service.stop()
+            assert not any(thread.is_alive() for thread in threads)
+
+    def test_deployment_stop_leaves_the_shared_pool_serving(
+        self, predictor, sample_graphs
+    ):
+        hub = ModelHub(pool_workers=2)
+        first = make_service(predictor, cache=hub.cache, pool=hub.pool)
+        second = make_service(small_predictor(seed=5), cache=hub.cache, pool=hub.pool)
+        hub.adopt("first", first)
+        hub.adopt("second", second)
+        with hub:
+            hub.submit("first", sample_graphs[0]).result(timeout=10)
+            threads = list(hub.pool._threads)
+            first.stop()
+            assert all(thread.is_alive() for thread in threads)
+            result = hub.submit("second", sample_graphs[1]).result(timeout=10)
+            assert result.label == second.predict(sample_graphs[1]).label
+            assert hub.pool.telemetry()["members"] == 1
+        assert not any(thread.is_alive() for thread in threads)
 
 
 class TestLockFreeConcurrency:
@@ -976,9 +1076,7 @@ class TestLockFreeConcurrency:
 
     def test_two_threads_on_one_ensemble(self, exported_ensemble, sample_graphs):
         root, _ = exported_ensemble
-        service = EnsemblePredictionService.from_registry(
-            root, "ens", config=EnsembleConfig(enable_cache=False)
-        )
+        service = EnsemblePredictionService.from_registry(root, "ens")
         expected = service.predict_many(sample_graphs)
         errors = []
         barrier = threading.Barrier(2)
@@ -1011,10 +1109,11 @@ class TestLockFreeConcurrency:
     def test_multi_worker_batcher_end_to_end(self, predictor, sample_graphs):
         sync = make_service(predictor, enable_cache=False)
         expected = [result.label for result in sync.predict_many(sample_graphs)]
-        service = make_service(predictor, enable_cache=False, batcher_workers=2)
-        futures = [service.submit(graph) for graph in sample_graphs]
-        with service:
-            results = [future.result(timeout=30) for future in futures]
+        with BatcherWorkerPool(workers=2) as pool:
+            service = make_service(predictor, enable_cache=False, pool=pool)
+            futures = [service.submit(graph) for graph in sample_graphs]
+            with service:
+                results = [future.result(timeout=30) for future in futures]
         assert [result.label for result in results] == expected
 
 
@@ -1048,17 +1147,14 @@ class TestCombinationStrategies:
         label, _ = combine_majority_vote(stacked)
         assert label == 0
 
-    def test_config_validates_strategy(self):
+    def test_config_validates_strategy(self, exported_ensemble):
+        root, _ = exported_ensemble
         with pytest.raises(ValueError, match="strategy"):
-            EnsembleConfig(strategy="median")
-        for bad in (
-            dict(max_batch_size=0),
-            dict(max_wait_s=-1.0),
-            dict(cache_capacity=0),
-            dict(latency_window=0),
-        ):
-            with pytest.raises(ValueError):
-                EnsembleConfig(**bad)
+            EnsemblePredictionService.from_registry(root, "ens", strategy="median")
+        with pytest.raises(ValueError):
+            BatchingConfig(max_delay_s=-1.0)
+        with pytest.raises(ValueError):
+            EnsemblePredictionService.from_registry(root, "ens", latency_window=0)
 
 
 @pytest.fixture(scope="module")
@@ -1082,9 +1178,12 @@ class TestEnsemblePredictionService:
     def test_deterministic_under_both_strategies(self, exported_ensemble, sample_graphs):
         root, _ = exported_ensemble
         for strategy in ("mean-softmax", "majority-vote"):
-            config = EnsembleConfig(strategy=strategy)
-            first = EnsemblePredictionService.from_registry(root, "ens", config=config)
-            second = EnsemblePredictionService.from_registry(root, "ens", config=config)
+            first = EnsemblePredictionService.from_registry(
+                root, "ens", strategy=strategy, cache=EmbeddingCache(64)
+            )
+            second = EnsemblePredictionService.from_registry(
+                root, "ens", strategy=strategy, cache=EmbeddingCache(64)
+            )
             results_a = first.predict_many(sample_graphs)
             results_b = second.predict_many(sample_graphs)
             assert [r.label for r in results_a] == [r.label for r in results_b]
@@ -1114,7 +1213,7 @@ class TestEnsemblePredictionService:
     def test_majority_label_has_plurality(self, exported_ensemble, sample_graphs):
         root, _ = exported_ensemble
         service = EnsemblePredictionService.from_registry(
-            root, "ens", config=EnsembleConfig(strategy="majority-vote")
+            root, "ens", strategy="majority-vote"
         )
         for result in service.predict_many(sample_graphs):
             counts = {}
@@ -1139,7 +1238,7 @@ class TestEnsemblePredictionService:
         # the majority of the members' own classifiers on each request.
         root, _ = exported_ensemble
         service = EnsemblePredictionService.from_registry(
-            root, "ens", config=EnsembleConfig(enable_cache=False)
+            root, "ens"
         )
         members = list(service.members.values())
         assert all(member.hybrid is not None for member in members)
@@ -1179,15 +1278,16 @@ class TestEnsemblePredictionService:
 
     def test_warm_start_round_trip(self, exported_ensemble, sample_graphs, tmp_path):
         root, _ = exported_ensemble
-        cold = EnsemblePredictionService.from_registry(root, "ens")
+        cold = EnsemblePredictionService.from_registry(
+            root, "ens", cache=EmbeddingCache(64)
+        )
         cold_results = cold.predict_many(sample_graphs)
         path = str(tmp_path / "ensemble-warm.npz")
         assert cold.dump_cache(path) == len(sample_graphs)
 
-        warmed = EnsemblePredictionService.from_registry(
-            root, "ens", config=EnsembleConfig(warmup_path=path)
-        )
-        first = warmed.predict(sample_graphs[0])
+        hub = ModelHub(root)
+        hub.load(DeploymentSpec(name="ens", fold_group="ens", warmup_path=path))
+        first = hub.predict("ens", sample_graphs[0])
         assert first.cache_hit
         assert first.label == cold_results[0].label
         assert np.array_equal(first.probabilities, cold_results[0].probabilities)
@@ -1205,7 +1305,9 @@ class TestEnsemblePredictionService:
 
     def test_snapshot_describes_the_ensemble(self, exported_ensemble, sample_graphs):
         root, refs = exported_ensemble
-        service = EnsemblePredictionService.from_registry(root, "ens")
+        service = EnsemblePredictionService.from_registry(
+            root, "ens", cache=EmbeddingCache(64)
+        )
         service.predict_many(sample_graphs)
         snapshot = service.snapshot()
         assert snapshot["strategy"] == "mean-softmax"
@@ -1296,7 +1398,9 @@ class TestEndToEnd:
                 continue
             in_memory = fold.predictor.predict_label_for_graphs(graphs)
 
-            service = PredictionService.from_registry(tmp_path, ref.name)
+            service = PredictionService.from_registry(
+                tmp_path, ref.name, cache=EmbeddingCache(1024)
+            )
             served = service.predict_many(graphs)
             assert np.array_equal(in_memory, np.array([r.label for r in served]))
             # Per-request path agrees with the micro-batched path.

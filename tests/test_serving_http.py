@@ -19,15 +19,15 @@ from repro.core import StaticConfigurationPredictor, StaticModelConfig
 from repro.graphs import GraphBuilder, GraphEncoder, graph_fingerprint
 from repro.serving import (
     ArtifactRegistry,
+    BatchingConfig,
     CheckpointDaemon,
     EmbeddingCache,
-    EnsembleConfig,
     EnsemblePredictionService,
     GRAPH_SCHEMA_VERSION,
+    ModelHub,
     PredictionHTTPServer,
     PredictionService,
     SerializationError,
-    ServiceConfig,
     ServingApp,
     program_graph_from_dict,
     program_graph_from_json,
@@ -61,10 +61,23 @@ def artifact(tmp_path_factory):
     return registry.load("demo")
 
 
-def make_service(artifact, **overrides):
-    defaults = dict(max_batch_size=16, max_wait_s=0.01)
-    defaults.update(overrides)
-    return PredictionService.from_artifact(artifact, config=ServiceConfig(**defaults))
+def make_service(artifact, max_delay_s=0.01, **knobs):
+    return PredictionService.from_artifact(
+        artifact,
+        batching=BatchingConfig(max_batch_size=16, max_delay_s=max_delay_s),
+        **knobs,
+    )
+
+
+def serving_hub(artifact, max_delay_s=0.01, **hub_knobs):
+    """A hub serving the artifact's hand-built service as ``"default"``
+    over the hub's shared cache and batcher pool."""
+    hub = ModelHub(**hub_knobs)
+    hub.adopt(
+        "default",
+        make_service(artifact, max_delay_s=max_delay_s, cache=hub.cache, pool=hub.pool),
+    )
+    return hub
 
 
 # ------------------------------------------------------------- wire format
@@ -291,9 +304,10 @@ class TestCheckpointDaemon:
     def test_corrupt_warmup_file_degrades_to_cold_start(self, tmp_path, artifact):
         path = tmp_path / "torn.npz"
         path.write_bytes(b"definitely not an npz file")
-        service = make_service(artifact, warmup_path=str(path))
-        assert len(service.cache) == 0  # cold, but the server boots
+        hub = serving_hub(artifact, warmup_path=str(path))
+        assert len(hub.cache) == 0  # cold, but the server boots
         # The explicit probe still surfaces the real error.
+        service = make_service(artifact, cache=EmbeddingCache(16))
         with pytest.raises(Exception):
             service.warm_up(str(path))
 
@@ -304,7 +318,7 @@ class TestCheckpointDaemon:
 class TestServingApp:
     @pytest.fixture()
     def app(self, artifact):
-        return ServingApp(make_service(artifact))
+        return ServingApp(serving_hub(artifact))
 
     def test_unknown_path_is_404(self, app):
         status, payload, _ = app.handle("GET", "/nope")
@@ -385,7 +399,7 @@ class TestServingApp:
     def test_stalled_prediction_is_504_timeout(self, artifact, raw_graphs, monkeypatch):
         import concurrent.futures
 
-        app = ServingApp(make_service(artifact), request_timeout_s=0.05)
+        app = ServingApp(serving_hub(artifact), request_timeout_s=0.05)
         app.start()
         try:
             predictor = app.hub.resolve(None).predictor
@@ -422,8 +436,7 @@ class TestServingApp:
 
 @pytest.fixture(scope="module")
 def server(artifact):
-    service = make_service(artifact, max_wait_s=0.005)
-    with PredictionHTTPServer(service) as running:
+    with PredictionHTTPServer(serving_hub(artifact, max_delay_s=0.005)) as running:
         yield running
 
 
@@ -479,9 +492,10 @@ class TestHTTPServer:
     def test_concurrent_clients_share_micro_batches(self, artifact, raw_graphs):
         # A dedicated server with a wide batching window so concurrent
         # HTTP handler threads demonstrably coalesce into shared batches.
-        service = make_service(artifact, max_wait_s=0.25, enable_cache=False)
+        hub = serving_hub(artifact, max_delay_s=0.25, enable_cache=False)
+        service = hub.resolve("default").predictor
         clients = 12
-        with PredictionHTTPServer(service) as running:
+        with PredictionHTTPServer(hub) as running:
             results = [None] * clients
             errors = []
 
@@ -530,8 +544,7 @@ class TestHTTPServer:
             assert (got_status, got_payload["error"]["code"]) == (status, code), path
 
     def test_oversized_body_is_413_and_closes_the_connection(self, artifact):
-        service = make_service(artifact)
-        with PredictionHTTPServer(service, max_body_bytes=64) as running:
+        with PredictionHTTPServer(serving_hub(artifact), max_body_bytes=64) as running:
             connection = http.client.HTTPConnection(
                 running.host, running.port, timeout=30
             )
@@ -629,7 +642,7 @@ class TestHTTPServer:
         assert PredictionHTTPServer.daemon_threads is False
 
     def test_closed_server_cannot_restart(self, artifact):
-        server = PredictionHTTPServer(make_service(artifact))
+        server = PredictionHTTPServer(serving_hub(artifact))
         server.start()
         server.close()
         with pytest.raises(RuntimeError):
@@ -641,11 +654,14 @@ class TestEnsembleOverHTTP:
         registry = ArtifactRegistry(tmp_path)
         for fold, seed in enumerate((1, 2, 3)):
             registry.save(f"ens-fold{fold}", small_predictor(seed=seed))
+        # A hand-built ensemble with its own private batcher pool.
         service = EnsemblePredictionService.from_registry(
-            str(tmp_path), "ens", config=EnsembleConfig(max_wait_s=0.005)
+            str(tmp_path), "ens", batching=BatchingConfig(max_delay_s=0.005)
         )
         expected = service.predict(raw_graphs[0])
-        with PredictionHTTPServer(service) as running:
+        hub = ModelHub(enable_cache=False)
+        hub.adopt("default", service)
+        with PredictionHTTPServer(hub) as running:
             status, payload = _request(
                 running,
                 "POST",
@@ -680,12 +696,17 @@ class TestCheckpointRestartOverHTTP:
         self, tmp_path, artifact, raw_graphs
     ):
         # Requests still queued at stop() are drained by the batcher and
-        # must land in the final checkpoint (the daemon stops *after* the
-        # service).
+        # must land in the final checkpoint (the hub stops its daemon
+        # *after* its deployments).
         checkpoint_path = str(tmp_path / "drain.npz")
-        service = make_service(artifact, max_wait_s=0.2)
-        daemon = CheckpointDaemon(service.cache, checkpoint_path, interval_s=3600.0)
-        app = ServingApp(service, checkpoint=daemon)
+        hub = serving_hub(
+            artifact,
+            max_delay_s=0.2,
+            checkpoint_path=checkpoint_path,
+            checkpoint_interval_s=3600.0,
+        )
+        service = hub.resolve("default").predictor
+        app = ServingApp(hub)
         app.start()
         futures = [service.submit(graph) for graph in raw_graphs]
         app.stop()
@@ -700,9 +721,11 @@ class TestCheckpointRestartOverHTTP:
         checkpoint_path = str(tmp_path / "cache.npz")
         wire_graphs = [program_graph_to_dict(g) for g in raw_graphs]
 
-        service = make_service(artifact)
-        daemon = CheckpointDaemon(service.cache, checkpoint_path, interval_s=3600.0)
-        with PredictionHTTPServer(service, checkpoint=daemon) as running:
+        hub = serving_hub(
+            artifact, checkpoint_path=checkpoint_path, checkpoint_interval_s=3600.0
+        )
+        daemon = hub.checkpoint
+        with PredictionHTTPServer(hub) as running:
             status, first = _request(
                 running, "POST", "/v1/predict", {"graphs": wire_graphs}
             )
@@ -712,7 +735,7 @@ class TestCheckpointRestartOverHTTP:
         # close() stopped the daemon, which wrote the final checkpoint.
         assert daemon.stats()["checkpoints"] >= 1
 
-        restarted = make_service(artifact, warmup_path=checkpoint_path)
+        restarted = serving_hub(artifact, warmup_path=checkpoint_path)
         with PredictionHTTPServer(restarted) as running:
             status, health = _request(running, "GET", "/healthz")
             assert health["cache"]["warm"] is True

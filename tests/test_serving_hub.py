@@ -3,9 +3,9 @@
 Covers the declarative :class:`DeploymentSpec` (validation + wire codec),
 the shared :class:`BatcherWorkerPool`, :class:`ModelHub` runtime mutation
 (load/unload/reload, aliases, default routing, the shared namespaced
-cache), parity of hub-served answers with the legacy single-model
-entrypoints (bit-identical, in-process and over HTTP — including one
-process serving a single-fold model next to a 5-fold ensemble), and the
+cache), parity of hub-served answers with standalone services (bit-identical,
+in-process and over HTTP — including one process serving a single-fold
+model next to a 5-fold ensemble), and the
 concurrency contract: load/unload/alias flips racing in-flight predicts
 never 500 and never serve a torn deployment.
 """
@@ -24,19 +24,19 @@ from repro.serving import (
     ArtifactNotFoundError,
     ArtifactRegistry,
     BatcherWorkerPool,
+    BatchingConfig,
     Deployment,
     DeploymentExistsError,
     DeploymentNotFoundError,
     DeploymentSpec,
     DeploymentSpecError,
-    EnsembleConfig,
+    EmbeddingCache,
     EnsemblePredictionService,
     HubError,
     ModelHub,
     PredictionHTTPServer,
     PredictionService,
     Predictor,
-    ServiceConfig,
     ServingApp,
     deployment_spec_from_dict,
     deployment_spec_to_dict,
@@ -146,20 +146,17 @@ class TestDeploymentSpec:
         with pytest.raises(DeploymentSpecError, match="strategy"):
             DeploymentSpec(name="m", fold_group="ens", strategy="coin-flip")
 
-    def test_knob_validation_is_shared_with_legacy_configs(self):
+    def test_knob_validation_names_the_knob(self):
+        # One validation path: the spec's blocks and knobs raise the
+        # spec's own error, naming the knob.
+        with pytest.raises(ValueError, match="max_batch_size"):
+            BatchingConfig(max_batch_size=0)
         with pytest.raises(DeploymentSpecError, match="max_batch_size"):
-            DeploymentSpec(name="m", artifact="a", max_batch_size=0)
-
-    def test_config_projection(self):
-        spec = DeploymentSpec(
-            name="m", fold_group="ens", strategy="majority-vote", max_batch_size=7
-        )
-        assert isinstance(spec.ensemble_config(), EnsembleConfig)
-        assert spec.ensemble_config().strategy == "majority-vote"
-        assert spec.ensemble_config().max_batch_size == 7
-        single = DeploymentSpec(name="m", artifact="a", max_wait_s=0.5)
-        assert isinstance(single.service_config(), ServiceConfig)
-        assert single.service_config().max_wait_s == 0.5
+            deployment_spec_from_dict(
+                {"name": "m", "artifact": "a", "batching": {"max_batch_size": 0}}
+            )
+        with pytest.raises(DeploymentSpecError, match="latency_window"):
+            DeploymentSpec(name="m", artifact="a", latency_window=0)
 
     def test_wire_round_trip(self):
         spec = DeploymentSpec(
@@ -505,7 +502,11 @@ class TestModelHub:
 
     def test_hub_can_restart_after_stop(self, registry_root, raw_graphs):
         hub = self.make_hub(registry_root)
-        hub.load(DeploymentSpec(name="m", artifact="demo", max_wait_s=0.001))
+        hub.load(
+            DeploymentSpec(
+                name="m", artifact="demo", batching=BatchingConfig(max_delay_s=0.001)
+            )
+        )
         with hub:
             assert hub.submit("m", raw_graphs[0]).result(timeout=10).label >= 0
         # The context manager stopped everything; a second lifecycle (and
@@ -522,7 +523,7 @@ class TestModelHub:
             )
 
 
-# ----------------------------------------------- parity with the legacy API
+# ----------------------------------------- parity with standalone services
 
 
 class TestHubParity:
@@ -530,8 +531,9 @@ class TestHubParity:
     def hub_server(self, registry_root):
         """One process serving a single-fold model and a 5-fold ensemble."""
         hub = ModelHub(registry_root, cache_capacity=512)
-        hub.load(DeploymentSpec(name="demo", artifact="demo", max_wait_s=0.005))
-        hub.load(DeploymentSpec(name="ens", fold_group="ens", max_wait_s=0.005))
+        batching = BatchingConfig(max_delay_s=0.005)
+        hub.load(DeploymentSpec(name="demo", artifact="demo", batching=batching))
+        hub.load(DeploymentSpec(name="ens", fold_group="ens", batching=batching))
         with PredictionHTTPServer(hub) as running:
             yield running
 
@@ -540,10 +542,10 @@ class TestHubParity:
     ):
         hub = ModelHub(registry_root)
         hub.load(DeploymentSpec(name="demo", artifact="demo"))
-        legacy = PredictionService.from_registry(registry_root, "demo")
+        standalone = PredictionService.from_registry(registry_root, "demo")
         via_hub = result_payloads(hub.predict_many("demo", raw_graphs))
-        via_legacy = result_payloads(legacy.predict_many(raw_graphs))
-        assert via_hub == via_legacy
+        via_standalone = result_payloads(standalone.predict_many(raw_graphs))
+        assert via_hub == via_standalone
         hub.stop()
 
     def test_five_fold_ensemble_bit_identical_in_process(
@@ -553,13 +555,13 @@ class TestHubParity:
         hub.load(
             DeploymentSpec(name="ens", fold_group="ens", strategy="majority-vote")
         )
-        legacy = EnsemblePredictionService.from_registry(
-            registry_root, "ens", config=EnsembleConfig(strategy="majority-vote")
+        standalone = EnsemblePredictionService.from_registry(
+            registry_root, "ens", strategy="majority-vote"
         )
-        assert legacy.num_members == ENSEMBLE_FOLDS
+        assert standalone.num_members == ENSEMBLE_FOLDS
         via_hub = result_payloads(hub.predict_many("ens", raw_graphs))
-        via_legacy = result_payloads(legacy.predict_many(raw_graphs))
-        assert via_hub == via_legacy
+        via_standalone = result_payloads(standalone.predict_many(raw_graphs))
+        assert via_hub == via_standalone
         hub.stop()
 
     def test_one_server_two_models_matches_legacy_servers(
@@ -567,23 +569,28 @@ class TestHubParity:
     ):
         """The acceptance bar: ≥2 named deployments (single + 5-fold
         ensemble) in one server, each bit-identical to the same artifact
-        served by the legacy single-model entrypoint."""
+        served by a standalone service in its own server."""
         wire = [program_graph_to_dict(graph) for graph in raw_graphs]
         status, listing = _request(hub_server, "GET", "/v1/models")
         assert status == 200
         assert set(listing["models"]) == {"demo", "ens"}
         assert listing["count"] == 2
 
-        # Legacy reference answers, served the PR-3 way (one service, one
-        # process, unnamed route).
-        legacy_single = PredictionService.from_registry(
-            registry_root, "demo", config=ServiceConfig(max_wait_s=0.005)
+        # Reference answers: each artifact as a hand-built standalone
+        # service (private cache), alone in its own server's hub, on the
+        # unnamed route.
+        batching = BatchingConfig(max_delay_s=0.005)
+        standalone_single = PredictionService.from_registry(
+            registry_root, "demo", batching=batching, cache=EmbeddingCache(1024)
         )
-        legacy_ensemble = EnsemblePredictionService.from_registry(
-            registry_root, "ens", config=EnsembleConfig(max_wait_s=0.005)
+        standalone_ensemble = EnsemblePredictionService.from_registry(
+            registry_root, "ens", batching=batching, cache=EmbeddingCache(1024)
         )
-        for name, legacy in (("demo", legacy_single), ("ens", legacy_ensemble)):
-            with PredictionHTTPServer(legacy) as reference:
+        pairs = (("demo", standalone_single), ("ens", standalone_ensemble))
+        for name, standalone in pairs:
+            reference_hub = ModelHub(enable_cache=False)
+            reference_hub.adopt("default", standalone)
+            with PredictionHTTPServer(reference_hub) as reference:
                 status, expected = _request(
                     reference, "POST", "/v1/predict", {"graphs": wire}
                 )
@@ -691,6 +698,17 @@ class TestHubAdminHTTP:
     def test_load_rejects_bad_specs(self, server):
         cases = [
             ({"artifact": "demo", "nope": 1}, 400, "invalid-spec"),
+            # Retired knobs: the batching block (without workers) and the
+            # hub's shared cache replaced them.
+            ({"artifact": "demo", "max_batch_size": 4}, 400, "invalid-spec"),
+            ({"artifact": "demo", "max_wait_s": 0.01}, 400, "invalid-spec"),
+            ({"artifact": "demo", "batcher_workers": 2}, 400, "invalid-spec"),
+            ({"artifact": "demo", "cache_capacity": 64}, 400, "invalid-spec"),
+            (
+                {"artifact": "demo", "batching": {"workers": 2}},
+                400,
+                "invalid-spec",
+            ),
             ({"name": "other", "artifact": "demo"}, 400, "invalid-spec"),
             ({"artifact": "ghost"}, 404, "artifact-not-found"),
             ({"fold_group": "ens", "strategy": "coin-flip"}, 400, "invalid-spec"),
@@ -758,8 +776,9 @@ class TestConcurrentHubMutation:
         while clients hammer it must fail zero requests, and every answer
         must be exactly one version's answer — never a torn blend."""
         hub = ModelHub(registry_root, cache_capacity=512, pool_workers=2)
-        hub.load(DeploymentSpec(name="v1", artifact="demo", version="v0001", max_wait_s=0.001))
-        hub.load(DeploymentSpec(name="v2", artifact="demo", version="v0002", max_wait_s=0.001))
+        batching = BatchingConfig(max_delay_s=0.001)
+        hub.load(DeploymentSpec(name="v1", artifact="demo", version="v0001", batching=batching))
+        hub.load(DeploymentSpec(name="v2", artifact="demo", version="v0002", batching=batching))
         hub.alias("prod", "v1")
 
         graphs = raw_graphs[:4]
