@@ -39,16 +39,9 @@ The rules
     ``ModelHub`` method has a call-compatible ``ReplicaSupervisor``
     counterpart (deliberate gaps declared in ``MIRROR_EXEMPT`` /
     ``MIRROR_EXTRA`` on the supervisor class, themselves audited for
-    staleness), and every ``OP_*`` constant, admin action, and
-    introspection question dispatched supervisor-side is handled
-    worker-side — and vice versa, so dead protocol surface is drift too.
-
-``exception-codec``
-    Every exception type raise-reachable from the replica worker's op
-    handlers has its own ``_KINDS`` entry, kinds are unique, subclass
-    entries precede their bases (first ``isinstance`` match wins when
-    encoding), and ``decode_exception`` covers every encode kind — so a
-    typed error is never silently demoted crossing the pipe.
+    staleness), and every ``OP_*`` constant and introspection question
+    dispatched supervisor-side is handled worker-side — and vice versa,
+    so dead protocol surface is drift too.
 
 ``pickle-safety``
     The pipe RPC surface is declared in ``WIRE_TYPES`` next to the
@@ -67,11 +60,11 @@ The rules
 Adding a cross-boundary rule
 ----------------------------
 
-The last four rules share a recipe worth copying: pick the *declarative
-anchor* (a table like ``_KINDS``/``WIRE_TYPES``/``ROUTES``, or a class
-pair like hub/supervisor), parse both sides of the boundary with the
+The last three rules share a recipe worth copying: pick the *declarative
+anchor* (a table like ``WIRE_TYPES``/``ROUTES``, or a class pair like
+hub/supervisor), parse both sides of the boundary with the
 class/signature index in :mod:`repro.analysis.walker`
-(:class:`~repro.analysis.walker.ClassIndex` for hierarchy questions,
+(:class:`~repro.analysis.walker.ClassIndex` for class lookups,
 :func:`~repro.analysis.walker.public_surface` for API shape,
 :class:`~repro.analysis.walker.MethodIndex` for reachability), and
 report drift in *both* directions — a handler nobody dispatches is as

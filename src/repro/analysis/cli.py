@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Project-invariant linter: lock discipline, inference purity, "
             "wire error-code registry, path hygiene, API surface, and the "
-            "cross-process contracts (rpc-parity, exception-codec, "
-            "pickle-safety, route-registry)."
+            "cross-process contracts (rpc-parity, pickle-safety, "
+            "route-registry)."
         ),
     )
     parser.add_argument(

@@ -7,14 +7,13 @@ them without any explicit wiring.  Adding a rule is: write a class with
 ``register_rule``, add a fixture under ``tests/fixtures/lint/`` that it
 flags, and assert on the fixture in ``tests/test_analysis.py``.
 
-The cross-boundary rules (rpc-parity, exception-codec, pickle-safety,
-route-registry) additionally lean on the class/signature index in
+The cross-boundary rules (rpc-parity, pickle-safety, route-registry)
+additionally lean on the class/signature index in
 :mod:`repro.analysis.walker` — see the package docstring for the recipe.
 """
 
 from ..engine import register_rule
 from .api_surface import ApiSurfaceRule
-from .exception_codec import ExceptionCodecRule
 from .lock_discipline import LockDisciplineRule
 from .path_hygiene import PathHygieneRule
 from .pickle_safety import PickleSafetyRule
@@ -26,7 +25,6 @@ from .wire_errors import WireErrorsRule
 __all__ = [
     "ApiSurfaceRule",
     "EnginePurityRule",
-    "ExceptionCodecRule",
     "LockDisciplineRule",
     "PathHygieneRule",
     "PickleSafetyRule",
@@ -38,7 +36,6 @@ __all__ = [
 for _rule in (
     ApiSurfaceRule,
     EnginePurityRule,
-    ExceptionCodecRule,
     LockDisciplineRule,
     PathHygieneRule,
     PickleSafetyRule,

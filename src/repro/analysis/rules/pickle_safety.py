@@ -8,10 +8,9 @@ with an opaque ``TypeError: cannot pickle '_thread.lock' object`` from
 deep inside the transport.  This rule makes the wire surface explicit
 and auditable:
 
-* the module defining the exception codec (``_KINDS``) must also declare
-  ``WIRE_TYPES`` — a tuple naming every class sent through the pipe RPC;
-  the declaration *is* the contract, exactly like the wire error-code
-  registry;
+* the transport module declares ``WIRE_TYPES`` — a tuple naming every
+  class sent through the pipe RPC; the declaration *is* the contract,
+  exactly like the wire error-code registry;
 * each declared class (and, transitively, every project class reachable
   through its instance attributes and dataclass field annotations) is
   scanned for unpicklable state: calls to lock/thread/executor/file
@@ -43,7 +42,6 @@ from ..walker import (
     terminal_attr,
 )
 
-KINDS_NAME = "_KINDS"
 WIRE_DECL = "WIRE_TYPES"
 
 #: call targets whose result must never be pickled.
@@ -104,21 +102,6 @@ def _wire_declaration(
     return None
 
 
-def _defines_kinds(module: ModuleInfo) -> bool:
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == KINDS_NAME for t in node.targets
-        ):
-            return True
-        if (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id == KINDS_NAME
-        ):
-            return True
-    return False
-
-
 def _attribute_hazard(value: ast.expr) -> Optional[str]:
     """Why ``value`` cannot be pickled, or ``None`` when it looks safe."""
     for sub in ast.walk(value):
@@ -152,44 +135,29 @@ class PickleSafetyRule:
     )
 
     def check(self, project: Project) -> List[Finding]:
-        codec_module = None
-        for module in project.modules:
-            if _defines_kinds(module):
-                codec_module = module
+        for wire_module in project.modules:
+            declaration = _wire_declaration(wire_module)
+            if declaration is not None:
                 break
-        if codec_module is None:
+        else:
             return []
-        declaration = _wire_declaration(codec_module)
-        if declaration is None:
-            return [
-                Finding(
-                    rule=self.name,
-                    path=codec_module.path,
-                    line=1,
-                    message=(
-                        f"transport module defines {KINDS_NAME} but no "
-                        f"{WIRE_DECL} declaration — the pipe RPC surface "
-                        "must be explicit to be checkable"
-                    ),
-                )
-            ]
         decl_line, declared = declaration
         index = ClassIndex(project)
         findings: List[Finding] = []
         seen: Set[str] = set()
         # chain: how we got here, for the finding message.
         queue: List[Tuple[str, Optional[ModuleInfo], Tuple[str, ...]]] = [
-            (name, codec_module, ()) for name in declared
+            (name, wire_module, ()) for name in declared
         ]
         # A declared name that resolves nowhere is stale — unless the codec
         # module *imports* it, in which case the class merely lives outside
         # the lint scope (a --changed-only subset run) and the import keeps
         # it honest: deleting the class breaks the import at runtime.
-        imports = imported_names(codec_module)
+        imports = imported_names(wire_module)
         missing = [
             name
             for name in declared
-            if index.resolve(name, codec_module) is None
+            if index.resolve(name, wire_module) is None
             and index.get(name) is None
             and name not in imports
         ]
@@ -197,7 +165,7 @@ class PickleSafetyRule:
             findings.append(
                 Finding(
                     rule=self.name,
-                    path=codec_module.path,
+                    path=wire_module.path,
                     line=decl_line,
                     message=(
                         f"{WIRE_DECL} names {name!r} but no project class "

@@ -3,9 +3,9 @@
 The :class:`~repro.serving.replica.supervisor.ReplicaSupervisor` works by
 *duck-typing* the :class:`~repro.serving.hub.ModelHub` surface, and the
 pipe protocol works by the supervisor dispatching exactly the ``OP_*``
-ops, admin actions, and introspection questions the worker handles.
-None of that is enforced by Python — a new hub method, op constant, or
-admin action silently drifts — so this rule machine-checks the contract
+ops and introspection questions the worker handles.  None of that is
+enforced by Python — a new hub method, op constant, or introspection
+question silently drifts — so this rule machine-checks the contract
 wherever the three anchor classes appear in the linted tree:
 
 * every public ``ModelHub`` method has a ``ReplicaSupervisor`` method of
@@ -17,11 +17,12 @@ wherever the three anchor classes appear in the linted tree:
 * every ``OP_*`` constant defined next to the transport is dispatched
   somewhere in the ``ReplicaSupervisor`` class and compared against in
   the ``ReplicaWorker`` class — drift in either direction is a finding;
-* every admin action the supervisor dispatches (the first argument of
-  ``_admin_broadcast(...)`` calls and ``{"action": ...}`` literals) is
-  handled by a ``action == "..."`` branch worker-side, and vice versa —
-  a dead handler is drift exactly like a missing one.  Introspection
-  ``what`` literals get the same two-way check.
+* every introspection question the supervisor asks (the first argument
+  of ``_introspect_one(...)``/``_introspect_broadcast(...)`` calls and
+  ``{"what": ...}`` literals) is handled by a ``what == "..."`` branch
+  worker-side, and vice versa — a dead handler is drift exactly like a
+  missing one.  (Admin needs no such check: its one message, ``sync``,
+  carries the whole desired state.)
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ WORKER_CLASS = "ReplicaWorker"
 EXEMPT_DECL = "MIRROR_EXEMPT"
 EXTRA_DECL = "MIRROR_EXTRA"
 
-#: dispatch helpers whose first string argument names an admin action /
-#: introspection question.
-_ADMIN_DISPATCHERS = {"_admin_broadcast"}
+#: dispatch helpers whose first string argument names an introspection
+#: question.
 _INTROSPECT_DISPATCHERS = {"_introspect_one", "_introspect_broadcast"}
 
 
@@ -92,16 +92,14 @@ def _op_compares(node: ast.AST) -> Set[str]:
     return handled
 
 
-def _dispatched_literals(
-    module: ModuleInfo, helper_names: Set[str], dict_key: str
-) -> Dict[str, int]:
-    """String literals the supervisor module sends as actions/questions:
-    first arguments of the dispatch helpers plus ``{dict_key: "..."}``
-    literals.  ``{literal: first line}``."""
+def _dispatched_questions(module: ModuleInfo) -> Dict[str, int]:
+    """String literals the supervisor module asks as introspection
+    questions: first arguments of the dispatch helpers plus
+    ``{"what": "..."}`` literals.  ``{literal: first line}``."""
     dispatched: Dict[str, int] = {}
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
-            if terminal_attr(node.func) not in helper_names or not node.args:
+            if terminal_attr(node.func) not in _INTROSPECT_DISPATCHERS or not node.args:
                 continue
             first = node.args[0]
             if isinstance(first, ast.Constant) and isinstance(first.value, str):
@@ -110,7 +108,7 @@ def _dispatched_literals(
             for key, value in zip(node.keys, node.values):
                 if (
                     isinstance(key, ast.Constant)
-                    and key.value == dict_key
+                    and key.value == "what"
                     and isinstance(value, ast.Constant)
                     and isinstance(value.value, str)
                 ):
@@ -118,16 +116,16 @@ def _dispatched_literals(
     return dispatched
 
 
-def _handled_literals(worker: ClassInfo, variable: str) -> Dict[str, int]:
-    """String literals compared against ``variable`` (``action``/``what``)
-    inside the worker class.  ``{literal: first line}``."""
+def _handled_questions(worker: ClassInfo) -> Dict[str, int]:
+    """String literals compared against ``what`` inside the worker class.
+    ``{literal: first line}``."""
     handled: Dict[str, int] = {}
     for node in ast.walk(worker.node):
         if not isinstance(node, ast.Compare):
             continue
         exprs = [node.left, *node.comparators]
         if not any(
-            isinstance(expr, ast.Name) and expr.id == variable for expr in exprs
+            isinstance(expr, ast.Name) and expr.id == "what" for expr in exprs
         ):
             continue
         for expr in exprs:
@@ -140,7 +138,7 @@ class RpcParityRule:
     name = "rpc-parity"
     description = (
         "the replica supervisor mirrors the hub surface, and every "
-        "dispatched op/admin action is handled worker-side (and vice versa)"
+        "dispatched op/introspection is handled worker-side (and vice versa)"
     )
 
     def check(self, project: Project) -> List[Finding]:
@@ -153,26 +151,7 @@ class RpcParityRule:
             findings.extend(self._surface_findings(hub, mirror))
         if mirror is not None and worker is not None:
             findings.extend(self._op_findings(project, mirror, worker))
-            findings.extend(
-                self._literal_findings(
-                    mirror,
-                    worker,
-                    helper_names=_ADMIN_DISPATCHERS,
-                    dict_key="action",
-                    handler="_admin",
-                    noun="admin action",
-                )
-            )
-            findings.extend(
-                self._literal_findings(
-                    mirror,
-                    worker,
-                    helper_names=_INTROSPECT_DISPATCHERS,
-                    dict_key="what",
-                    handler="_introspect",
-                    noun="introspection",
-                )
-            )
+            findings.extend(self._question_findings(mirror, worker))
         return findings
 
     # -------------------------------------------------------- hub mirroring
@@ -303,19 +282,13 @@ class RpcParityRule:
                 )
         return findings
 
-    # ------------------------------------------- admin/introspection parity
-    def _literal_findings(
-        self,
-        mirror: ClassInfo,
-        worker: ClassInfo,
-        helper_names: Set[str],
-        dict_key: str,
-        handler: str,
-        noun: str,
+    # ------------------------------------------------ introspection parity
+    def _question_findings(
+        self, mirror: ClassInfo, worker: ClassInfo
     ) -> List[Finding]:
         findings: List[Finding] = []
-        dispatched = _dispatched_literals(mirror.module, helper_names, dict_key)
-        handled = _handled_literals(worker, dict_key)
+        dispatched = _dispatched_questions(mirror.module)
+        handled = _handled_questions(worker)
         if not dispatched and not handled:
             return findings
         for literal, line in sorted(dispatched.items()):
@@ -326,8 +299,9 @@ class RpcParityRule:
                         path=mirror.module.path,
                         line=line,
                         message=(
-                            f"{noun} {literal!r} is dispatched supervisor-side "
-                            f"but {WORKER_CLASS}.{handler} has no branch for it"
+                            f"introspection {literal!r} is dispatched "
+                            f"supervisor-side but {WORKER_CLASS}._introspect "
+                            "has no branch for it"
                         ),
                     )
                 )
@@ -339,8 +313,8 @@ class RpcParityRule:
                         path=worker.module.path,
                         line=line,
                         message=(
-                            f"{noun} {literal!r} is handled by "
-                            f"{WORKER_CLASS}.{handler} but never dispatched "
+                            f"introspection {literal!r} is handled by "
+                            f"{WORKER_CLASS}._introspect but never dispatched "
                             "supervisor-side — dead protocol surface"
                         ),
                     )

@@ -19,16 +19,15 @@ The helpers here are the vocabulary the rules share:
   method name across a chosen module set (conservative, no type
   inference — exactly right for "nothing reachable from ``infer()`` may
   mutate ``self``");
-* :class:`ClassIndex` — every top-level class by name, with name-based
-  base-class resolution (``ancestors``/``is_subclass``), feeding the
-  cross-boundary contract rules (exception codecs order subclasses before
-  bases, RPC payload types are audited transitively);
+* :class:`ClassIndex` — every top-level class by name, with
+  conservative name resolution, feeding the cross-boundary contract
+  rules (RPC payload types are audited transitively);
 * :func:`method_signature` / :func:`public_surface` — the public method
   surface of a class as comparable :class:`MethodSignature` records, for
   "this class must mirror that one" checks;
-* :func:`raised_names` / :func:`instance_attribute_values` /
-  :func:`field_annotations` / :func:`annotation_names` — raise-site and
-  attribute-type extraction shared by the codec and pickle rules.
+* :func:`instance_attribute_values` / :func:`field_annotations` /
+  :func:`annotation_names` — attribute-type extraction for the pickle
+  rule.
 """
 
 from __future__ import annotations
@@ -370,7 +369,6 @@ class ClassInfo:
     module: ModuleInfo
     node: ast.ClassDef
     name: str
-    bases: Tuple[str, ...]
 
     def methods(self) -> Dict[str, ast.AST]:
         found: Dict[str, ast.AST] = {}
@@ -381,12 +379,10 @@ class ClassInfo:
 
 
 class ClassIndex:
-    """Top-level classes by name, with name-based hierarchy resolution.
+    """Top-level classes by name.
 
     Like :class:`MethodIndex`, resolution is deliberately conservative
-    and type-inference free: a base written ``hub.HubError`` resolves by
-    its terminal name, and ``ancestors`` chases names transitively
-    through the indexed modules (builtins simply resolve to nothing).
+    and type-inference free (see :meth:`resolve`).
     """
 
     def __init__(self, project: Project):
@@ -395,13 +391,8 @@ class ClassIndex:
             for node in module.tree.body:
                 if not isinstance(node, ast.ClassDef):
                     continue
-                bases = tuple(
-                    name
-                    for name in (terminal_attr(base) for base in node.bases)
-                    if name is not None
-                )
                 self.by_name.setdefault(node.name, []).append(
-                    ClassInfo(module=module, node=node, name=node.name, bases=bases)
+                    ClassInfo(module=module, node=node, name=node.name)
                 )
         for infos in self.by_name.values():
             infos.sort(key=lambda info: info.module.path)
@@ -422,23 +413,6 @@ class ClassIndex:
                 if info.module.path == module.path:
                     return info
         return infos[0] if len(infos) == 1 else None
-
-    def ancestors(self, name: str) -> Set[str]:
-        seen: Set[str] = set()
-        stack = [name]
-        while stack:
-            info = self.get(stack.pop())
-            if info is None:
-                continue
-            for base in info.bases:
-                if base not in seen:
-                    seen.add(base)
-                    stack.append(base)
-        return seen
-
-    def is_subclass(self, name: str, base: str) -> bool:
-        """``name`` is ``base`` or transitively derives from it (by name)."""
-        return name == base or base in self.ancestors(name)
 
 
 def method_signature(node: ast.AST) -> MethodSignature:
@@ -488,20 +462,6 @@ def class_string_set(info: ClassInfo, attribute: str) -> Optional[Tuple[int, Set
         }
         return item.lineno, members
     return None
-
-
-def raised_names(node: ast.AST) -> List[Tuple[str, int]]:
-    """``(terminal name, line)`` of every ``raise X``/``raise X(...)``
-    under ``node`` (bare re-raises and dynamic targets are skipped)."""
-    out: List[Tuple[str, int]] = []
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Raise) or sub.exc is None:
-            continue
-        target = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
-        name = terminal_attr(target)
-        if name is not None:
-            out.append((name, sub.lineno))
-    return out
 
 
 def instance_attribute_values(info: ClassInfo) -> List[Tuple[str, ast.expr, int]]:

@@ -173,6 +173,10 @@ class RequestError(Exception):
         self.message = message
         self.headers: Headers = dict(headers or {})
 
+    def __reduce__(self):
+        # Exception pickles ``args`` alone, which holds only the message.
+        return type(self), (self.status, self.code, self.message, self.headers)
+
     def payload(self) -> Dict[str, object]:
         return error_payload(self.status, self.code, self.message)
 

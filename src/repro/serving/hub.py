@@ -20,8 +20,9 @@ that ceiling:
   deployment's micro-batch queue — threads scale with traffic, not with
   model count.
 * **Runtime mutation.**  :meth:`load` / :meth:`unload` / :meth:`reload`
-  change the served set while requests are in flight: routing is one
-  locked dict lookup, a request that resolved a deployment always runs
+  change the served set while requests are in flight: routing is a
+  lookup in an immutable :class:`Routes` table (a mutation publishes a
+  changed copy), a request that resolved a deployment always runs
   against a fully-built predictor, and an unloaded deployment finishes
   draining its queued requests before its batcher dies.
 * **Aliases.**  :meth:`alias` maps a stable public name to a deployment
@@ -40,8 +41,8 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Generic, List, Optional, TypeVar, Union
 
 from ..concurrency import TrackedRLock
 from .batcher import BatcherWorkerPool
@@ -109,6 +110,171 @@ class DeploymentQuarantinedError(HubError):
     """The deployment exists but an operator fenced it off from traffic."""
 
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+@dataclass
+class Routes(Generic[T]):
+    """The routing policy of a hub, written once.
+
+    Deployment names (each mapped to what the owner keeps per deployment:
+    a live :class:`Deployment` in a :class:`ModelHub`, a wire spec in a
+    replica pool), the aliases onto them, the default deployment and the
+    quarantine fence.  Owners never mutate a published table: a change is
+    applied to a :meth:`copy`, which is swapped in only if the policy
+    accepted it, so a reader holding a table sees one consistent state
+    without a lock and a rejected change leaves nothing behind.
+    """
+
+    deployments: Dict[str, T] = field(default_factory=dict)
+    aliases: Dict[str, str] = field(default_factory=dict)
+    default: Optional[str] = None
+    quarantined: Dict[str, str] = field(default_factory=dict)
+
+    def copy(self) -> "Routes[T]":
+        return Routes(
+            dict(self.deployments), dict(self.aliases), self.default,
+            dict(self.quarantined),
+        )
+
+    # ------------------------------------------------------------- lookups
+    def resolve(self, name: Optional[str], for_predict: bool = False) -> str:
+        """The deployment ``name`` routes to (a deployment name, an alias,
+        or ``None`` for the default); ``for_predict`` also enforces the
+        quarantine fence, as every prediction route must."""
+        if name is None:
+            canonical = self.default
+            if canonical is None:
+                raise DeploymentNotFoundError(
+                    "this hub has no default deployment; address a model "
+                    "by name (POST /v1/models/<name>/predict)"
+                )
+        elif name in self.deployments:
+            canonical = name
+        else:
+            canonical = self.aliases.get(name)
+            if canonical is None:
+                raise DeploymentNotFoundError(
+                    f"no deployment or alias named {name!r}"
+                )
+        if for_predict and canonical in self.quarantined:
+            raise DeploymentQuarantinedError(
+                f"deployment {canonical!r} is quarantined: "
+                f"{self.quarantined[canonical]}"
+            )
+        return canonical
+
+    def get(self, name: str) -> T:
+        """The deployment named exactly ``name`` (aliases do not count)."""
+        if name not in self.deployments:
+            raise DeploymentNotFoundError(f"no deployment named {name!r}")
+        return self.deployments[name]
+
+    def check_install(self, name: str, replace: bool) -> None:
+        if name in self.aliases:
+            raise DeploymentExistsError(
+                f"{name!r} is an alias; deployments must not shadow one"
+            )
+        if name in self.deployments and not replace:
+            raise DeploymentExistsError(
+                f"deployment {name!r} is already loaded (reload() it, or "
+                f"load(..., replace=True))"
+            )
+
+    # ----------------------------------------------------------- mutations
+    def install(self, name: str, value: T, replace: bool) -> Optional[T]:
+        """Serve ``value`` under ``name``; returns what it replaced.  The
+        first deployment becomes the default."""
+        self.check_install(name, replace)
+        previous = self.deployments.get(name)
+        self.deployments[name] = value
+        if self.default is None:
+            self.default = name
+        return previous
+
+    def remove(self, name: str) -> T:
+        """Drop ``name``.  An alias target cannot go: flip or drop the
+        alias first, so a stable public name never silently dangles."""
+        value = self.get(name)
+        pointing = sorted(
+            alias for alias, target in self.aliases.items() if target == name
+        )
+        if pointing:
+            raise HubError(
+                f"deployment {name!r} is the target of alias(es) {pointing}; "
+                f"repoint or drop them before unloading"
+            )
+        del self.deployments[name]
+        self.quarantined.pop(name, None)
+        if self.default == name:
+            remaining = list(self.deployments)
+            # Deterministic: a sole survivor inherits the default (the
+            # unnamed routes keep working); ambiguity clears it.
+            self.default = remaining[0] if len(remaining) == 1 else None
+        return value
+
+    def alias(self, alias: str, target: str) -> None:
+        # Alias names share the URL namespace of deployment names.
+        try:
+            validate_deployment_name(alias)
+        except DeploymentSpecError as exc:
+            raise HubError(str(exc)) from exc
+        if alias in self.deployments:
+            raise DeploymentExistsError(
+                f"{alias!r} is a deployment name; aliases must not shadow one"
+            )
+        if target not in self.deployments:
+            raise DeploymentNotFoundError(
+                f"alias target {target!r} is not a loaded deployment"
+            )
+        self.aliases[alias] = target
+
+    def unalias(self, alias: str) -> None:
+        if alias not in self.aliases:
+            raise DeploymentNotFoundError(f"no alias named {alias!r}")
+        del self.aliases[alias]
+
+    def set_default(self, name: Optional[str]) -> None:
+        if name is not None:
+            self.get(name)
+        self.default = name
+
+    def quarantine(self, name: Optional[str], reason: str) -> None:
+        self.quarantined[self.resolve(name)] = str(reason)
+
+    def unquarantine(self, name: Optional[str]) -> None:
+        self.quarantined.pop(self.resolve(name), None)
+
+
+class RoutingReads:
+    """The routing reads a :class:`ModelHub` and a replica pool share,
+    answered from the owner's published :class:`Routes` table (one
+    attribute read, no lock)."""
+
+    _routes: Routes
+
+    def names(self) -> List[str]:
+        return sorted(self._routes.deployments)
+
+    def aliases(self) -> Dict[str, str]:
+        return dict(self._routes.aliases)
+
+    @property
+    def default_name(self) -> Optional[str]:
+        return self._routes.default
+
+    def quarantined(self) -> Dict[str, str]:
+        return dict(self._routes.quarantined)
+
+    def __contains__(self, name: str) -> bool:
+        routes = self._routes
+        return name in routes.deployments or name in routes.aliases
+
+    def __len__(self) -> int:
+        return len(self._routes.deployments)
+
+
 @dataclass
 class Deployment:
     """One loaded model: its spec (if declaratively loaded) + predictor."""
@@ -135,7 +301,7 @@ class Deployment:
         }
 
 
-class ModelHub:
+class ModelHub(RoutingReads):
     """Owns many named deployments behind one registry and one cache.
 
     ``registry`` may be an :class:`ArtifactRegistry`, a root path, or
@@ -193,11 +359,9 @@ class ModelHub:
         )
         self.drift_config = drift_config or DriftConfig()
         self._cost_model = cost_model
+        # Serialises mutations; readers take the published table as is.
         self._lock = TrackedRLock("hub.routing")
-        self._deployments: Dict[str, Deployment] = {}
-        self._aliases: Dict[str, str] = {}
-        self._quarantined: Dict[str, str] = {}
-        self._default: Optional[str] = None
+        self._routes: Routes[Deployment] = Routes()
         self._started = False
         self._created_monotonic = time.monotonic()
 
@@ -210,8 +374,10 @@ class ModelHub:
         stalls routing for the models already serving.  With
         ``replace=True`` an existing deployment of the same name is
         atomically swapped out and drained after the swap — in-flight
-        requests finish on the predictor they resolved.
+        requests finish on the predictor they resolved.  A name the
+        routing policy would refuse is refused before anything is built.
         """
+        self._routes.check_install(spec.name, replace)
         predictor = self._build(spec)
         return self._install(spec.name, predictor, spec, replace=replace)
 
@@ -243,25 +409,7 @@ class ModelHub:
         already resolved the deployment finish normally; new lookups get
         :class:`DeploymentNotFoundError` (HTTP 404) immediately.
         """
-        with self._lock:
-            deployment = self._deployments.get(name)
-            if deployment is None:
-                raise DeploymentNotFoundError(f"no deployment named {name!r}")
-            pointing = sorted(
-                alias for alias, target in self._aliases.items() if target == name
-            )
-            if pointing:
-                raise HubError(
-                    f"deployment {name!r} is the target of alias(es) {pointing}; "
-                    f"repoint or drop them before unloading"
-                )
-            del self._deployments[name]
-            self._quarantined.pop(name, None)
-            if self._default == name:
-                remaining = list(self._deployments)
-                # Deterministic: a sole survivor inherits the default
-                # (the unnamed routes keep working); ambiguity clears it.
-                self._default = remaining[0] if len(remaining) == 1 else None
+        deployment = self._update(lambda routes: routes.remove(name))
         deployment.predictor.stop()
         return deployment
 
@@ -272,16 +420,12 @@ class ModelHub:
         new one is fully built, then to the new one; the old predictor is
         drained and stopped after the swap.
         """
-        with self._lock:
-            current = self._deployments.get(name)
-            if current is None:
-                raise DeploymentNotFoundError(f"no deployment named {name!r}")
-            if current.spec is None:
-                raise HubError(
-                    f"deployment {name!r} was adopted pre-built and has no spec; "
-                    f"load() it declaratively to make it reloadable"
-                )
-            spec = current.spec
+        spec = self._routes.get(name).spec
+        if spec is None:
+            raise HubError(
+                f"deployment {name!r} was adopted pre-built and has no spec; "
+                f"load() it declaratively to make it reloadable"
+            )
         predictor = self._build(spec)
         return self._install(name, predictor, spec, replace=True)
 
@@ -293,33 +437,15 @@ class ModelHub:
         in the same URL namespace as deployment names, so collisions are
         rejected.
         """
-        try:
-            validate_deployment_name(alias)
-        except DeploymentSpecError as exc:
-            raise HubError(str(exc)) from exc
-        with self._lock:
-            if alias in self._deployments:
-                raise DeploymentExistsError(
-                    f"{alias!r} is a deployment name; aliases must not shadow one"
-                )
-            if target not in self._deployments:
-                raise DeploymentNotFoundError(
-                    f"alias target {target!r} is not a loaded deployment"
-                )
-            self._aliases[alias] = target
+        self._update(lambda routes: routes.alias(alias, target))
 
     def unalias(self, alias: str) -> None:
-        with self._lock:
-            if alias not in self._aliases:
-                raise DeploymentNotFoundError(f"no alias named {alias!r}")
-            del self._aliases[alias]
+        self._update(lambda routes: routes.unalias(alias))
 
-    def set_default(self, name: str) -> None:
-        """Choose which deployment answers the unnamed routes."""
-        with self._lock:
-            if name not in self._deployments:
-                raise DeploymentNotFoundError(f"no deployment named {name!r}")
-            self._default = name
+    def set_default(self, name: Optional[str]) -> None:
+        """Choose which deployment answers the unnamed routes (``None``:
+        none does; they answer 404)."""
+        self._update(lambda routes: routes.set_default(name))
 
     # ------------------------------------------------- cost model & fencing
     def set_cost_model(self, model: Optional[LatencyCostModel]) -> None:
@@ -332,7 +458,7 @@ class ModelHub:
         """
         with self._lock:
             self._cost_model = model
-            deployments = list(self._deployments.values())
+            deployments = list(self._routes.deployments.values())
         for deployment in deployments:
             bind = getattr(deployment.predictor, "bind_slo", None)
             if bind is None:
@@ -373,54 +499,24 @@ class ModelHub:
         predict/submit resolves to a structured 503 until
         :meth:`unquarantine`.
         """
-        deployment = self.resolve(name)
-        with self._lock:
-            self._quarantined[deployment.name] = str(reason)
+        self._update(lambda routes: routes.quarantine(name, reason))
 
     def unquarantine(self, name: str) -> None:
-        deployment = self.resolve(name)
-        with self._lock:
-            self._quarantined.pop(deployment.name, None)
-
-    def quarantined(self) -> Dict[str, str]:
-        with self._lock:
-            return dict(self._quarantined)
+        self._update(lambda routes: routes.unquarantine(name))
 
     # ------------------------------------------------------------- routing
     def resolve(self, name: Optional[str] = None) -> Deployment:
         """Deployment for ``name`` (a deployment name, an alias, or ``None``
-        for the default).  One locked dict lookup — this is the whole
-        per-request routing cost."""
-        with self._lock:
-            if name is None:
-                if self._default is None:
-                    raise DeploymentNotFoundError(
-                        "this hub has no default deployment; address a model "
-                        "by name (POST /v1/models/<name>/predict)"
-                    )
-                return self._deployments[self._default]
-            deployment = self._deployments.get(name)
-            if deployment is None:
-                target = self._aliases.get(name)
-                if target is not None:
-                    deployment = self._deployments.get(target)
-            if deployment is None:
-                raise DeploymentNotFoundError(
-                    f"no deployment or alias named {name!r}"
-                )
-            return deployment
+        for the default).  Dict lookups in the published table, no lock —
+        this is the whole per-request routing cost."""
+        routes = self._routes
+        return routes.deployments[routes.resolve(name)]
 
     def resolve_for_predict(self, name: Optional[str] = None) -> Deployment:
         """:meth:`resolve`, then enforce the quarantine fence — the lookup
         every prediction route must use."""
-        deployment = self.resolve(name)
-        with self._lock:
-            reason = self._quarantined.get(deployment.name)
-        if reason is not None:
-            raise DeploymentQuarantinedError(
-                f"deployment {deployment.name!r} is quarantined: {reason}"
-            )
-        return deployment
+        routes = self._routes
+        return routes.deployments[routes.resolve(name, for_predict=True)]
 
     def predict(self, name: Optional[str], request):
         predictor = self.resolve_for_predict(name).predictor
@@ -438,39 +534,16 @@ class ModelHub:
         return self.resolve_for_predict(name).predictor.submit(request)
 
     # ---------------------------------------------------------- introspection
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._deployments)
-
-    def aliases(self) -> Dict[str, str]:
-        with self._lock:
-            return dict(self._aliases)
-
-    @property
-    def default_name(self) -> Optional[str]:
-        with self._lock:
-            return self._default
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._deployments or name in self._aliases
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._deployments)
-
     def describe(self) -> Dict[str, object]:
-        with self._lock:
-            deployments = dict(self._deployments)
-            aliases = dict(self._aliases)
-            default = self._default
+        routes = self._routes
         return {
             "service": "hub",
             "models": {
-                name: deployment.describe() for name, deployment in deployments.items()
+                name: deployment.describe()
+                for name, deployment in routes.deployments.items()
             },
-            "aliases": aliases,
-            "default": default,
+            "aliases": dict(routes.aliases),
+            "default": routes.default,
         }
 
     def model_health(self, name: Optional[str] = None) -> Dict[str, object]:
@@ -484,13 +557,12 @@ class ModelHub:
             entries = (
                 cache.namespace_size(namespace()) if namespace is not None else len(cache)
             )
-        with self._lock:
-            aliases = sorted(
-                alias
-                for alias, target in self._aliases.items()
-                if target == deployment.name
-            )
-            is_default = self._default == deployment.name
+        routes = self._routes
+        aliases = sorted(
+            alias for alias, target in routes.aliases.items()
+            if target == deployment.name
+        )
+        is_default = routes.default == deployment.name
         return {
             "status": "ok",
             "model": deployment.describe(),
@@ -516,10 +588,8 @@ class ModelHub:
 
     def snapshot(self) -> Dict[str, object]:
         """Hub-wide metrics: per-model stats + shared-infrastructure stats."""
-        with self._lock:
-            deployments = dict(self._deployments)
-            aliases = dict(self._aliases)
-            default = self._default
+        routes = self._routes
+        deployments = routes.deployments
         per_model = {
             name: deployment.predictor.snapshot()
             for name, deployment in deployments.items()
@@ -539,8 +609,8 @@ class ModelHub:
             "aggregate": aggregate_snapshots(
                 per_model.values(), latency_windows=latency_windows
             ),
-            "aliases": aliases,
-            "default": default,
+            "aliases": dict(routes.aliases),
+            "default": routes.default,
             "cache": self.cache.stats() if self.cache is not None else None,
             "pool": self.pool.telemetry(),
             "journal": self.journal.stats() if self.journal is not None else None,
@@ -557,15 +627,13 @@ class ModelHub:
         carries the cost-model identity and the summed sustainable QPS the
         calibration predicts for the current mix.
         """
+        routes = self._routes
         if name is not None:
-            targets = [self.resolve(name)]
+            targets = [routes.deployments[routes.resolve(name)]]
         else:
-            with self._lock:
-                targets = [
-                    self._deployments[key] for key in sorted(self._deployments)
-                ]
+            targets = [routes.deployments[key] for key in sorted(routes.deployments)]
+        quarantined = routes.quarantined
         with self._lock:
-            quarantined = dict(self._quarantined)
             cost_model = self._cost_model
         models: Dict[str, object] = {}
         total_qps = 0.0
@@ -613,7 +681,7 @@ class ModelHub:
         deployments loaded later start immediately."""
         with self._lock:
             self._started = True
-            deployments = list(self._deployments.values())
+            deployments = list(self._routes.deployments.values())
         for deployment in deployments:
             deployment.predictor.start()
         if self.checkpoint is not None:
@@ -625,7 +693,7 @@ class ModelHub:
         checkpoint last (so results computed during the drain land in it)."""
         with self._lock:
             self._started = False
-            deployments = list(self._deployments.values())
+            deployments = list(self._routes.deployments.values())
         for deployment in deployments:
             deployment.predictor.stop()
         self.pool.close()
@@ -642,6 +710,15 @@ class ModelHub:
         self.stop()
 
     # ------------------------------------------------------------ internals
+    def _update(self, change: Callable[[Routes[Deployment]], R]) -> R:
+        """Apply ``change`` to a copy of the routing table and publish the
+        copy; a change the policy rejects raises and publishes nothing."""
+        with self._lock:
+            routes = self._routes.copy()
+            result = change(routes)
+            self._routes = routes
+        return result
+
     def _build(self, spec: DeploymentSpec) -> Predictor:
         if self.registry is None:
             raise HubError(
@@ -701,19 +778,9 @@ class ModelHub:
             if bind is not None:
                 bind(self.journal, name)
         with self._lock:
-            if name in self._aliases:
-                raise DeploymentExistsError(
-                    f"{name!r} is an alias; deployments must not shadow one"
-                )
-            previous = self._deployments.get(name)
-            if previous is not None and not replace:
-                raise DeploymentExistsError(
-                    f"deployment {name!r} is already loaded (reload() it, or "
-                    f"load(..., replace=True))"
-                )
-            self._deployments[name] = deployment
-            if self._default is None:
-                self._default = name
+            previous = self._update(
+                lambda routes: routes.install(name, deployment, replace)
+            )
             started = self._started
         if started:
             predictor.start()

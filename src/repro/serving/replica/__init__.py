@@ -2,10 +2,10 @@
 
 The package splits the subsystem along the process boundary:
 
-* :mod:`.config` — the picklable :class:`ReplicaConfig` that crosses it,
-  plus the replica-layer error types;
-* :mod:`.transport` — the pipe protocol (ops, statuses, the typed
-  exception codec);
+* :mod:`.config` — the picklable :class:`ReplicaConfig` and desired
+  state (``PoolState``) that cross it, plus the replica-layer error types;
+* :mod:`.transport` — the pipe protocol (ops, statuses, the exception
+  codec that carries each error as its own class);
 * :mod:`.worker` — the child-process side: one full hub per process;
 * :mod:`.supervisor` — the parent side: spawning, affinity routing,
   heartbeats, failover, recycling, drain.

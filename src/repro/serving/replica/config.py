@@ -1,15 +1,18 @@
-"""Replica-pool configuration and the replica-layer error types.
+"""Replica-pool configuration, desired state, and the replica-layer errors.
 
 One :class:`ReplicaConfig` describes everything a worker process needs to
-build its own :class:`~repro.serving.hub.ModelHub` — registry root,
-wire-encoded deployment specs, aliases, default routing, cache and
-journal knobs — plus the supervisor-side lifecycle knobs (heartbeat
-cadence, recycle threshold, retry budget).  The record is a plain
-picklable dataclass because it crosses the process boundary verbatim:
-the supervisor snapshots its *current* desired state into one of these
-for every spawn, so a replica respawned hours after boot still builds
-the model set the operators have mutated the pool into, not the one the
-CLI started with.
+build its own :class:`~repro.serving.hub.ModelHub` — registry root, cache
+and journal knobs — plus the pool's boot model set (wire-encoded
+deployment specs, aliases, default routing, cost model) and the
+supervisor-side lifecycle knobs (heartbeat cadence, recycle threshold,
+retry budget).  It is a plain picklable dataclass because it crosses the
+process boundary verbatim.
+
+The model set a pool serves *now* is a :class:`PoolState`: the boot set
+from :meth:`ReplicaConfig.boot_state`, changed by every admin mutation
+since.  Every spawn and every ``sync`` message carries the whole value,
+so a replica respawned hours after boot builds the model set the
+operators have mutated the pool into, not the one the CLI started with.
 
 Per-slot derivations (:meth:`ReplicaConfig.slot_journal_dir`,
 :meth:`ReplicaConfig.slot_checkpoint_path`) keep the on-disk layout in
@@ -25,7 +28,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..hub import HubError
+from ..hub import HubError, Routes
 
 #: journal/checkpoint names are derived from the slot index with this
 #: prefix, so a directory of per-replica journals is self-describing.
@@ -53,6 +56,44 @@ def default_start_method() -> str:
     if "forkserver" in multiprocessing.get_all_start_methods():
         return "forkserver"
     return "spawn"
+
+
+@dataclass
+class PoolState:
+    """The desired model state of a replica pool: what every worker's hub
+    must serve.
+
+    ``routes`` is the hub's own routing table, each deployment mapped to
+    ``(wire spec, generation)``.  A generation is drawn from one counter
+    at every load and reload (and at every cost-model reload, for the
+    cost model), so a worker rebuilds exactly what changed since the
+    state it last applied — including a reload that left the spec as it
+    was.
+    """
+
+    routes: Routes = field(default_factory=Routes)
+    cost_model: Optional[Tuple[str, Optional[str]]] = None
+    cost_model_generation: int = 0
+    generation: int = 0
+
+    def copy(self) -> "PoolState":
+        return replace(self, routes=self.routes.copy())
+
+    def _next_generation(self) -> int:
+        self.generation += 1
+        return self.generation
+
+    def load(self, spec: Dict[str, object], replace: bool = False) -> None:
+        name = str(spec["name"])
+        self.routes.install(name, (dict(spec), self._next_generation()), replace)
+
+    def reload(self, name: str) -> None:
+        spec, _ = self.routes.get(name)
+        self.routes.install(name, (spec, self._next_generation()), True)
+
+    def reload_cost_model(self, name: str, version: Optional[str]) -> None:
+        self.cost_model = (name, version)
+        self.cost_model_generation = self._next_generation()
 
 
 @dataclass
@@ -107,6 +148,8 @@ class ReplicaConfig:
             self.checkpoint_dir = os.fspath(self.checkpoint_dir)
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if self.cache_capacity < 1:
+            raise ValueError("cache_capacity must be >= 1")
         if self.worker_threads < 1:
             raise ValueError("worker_threads must be >= 1")
         if self.spawn_timeout_s <= 0:
@@ -142,17 +185,16 @@ class ReplicaConfig:
             self.checkpoint_dir, f"{REPLICA_DIR_PREFIX}{slot:02d}.npz"
         )
 
-    def snapshot_for_spawn(
-        self,
-        specs: List[Dict[str, object]],
-        aliases: Dict[str, str],
-        default: Optional[str],
-    ) -> "ReplicaConfig":
-        """A copy carrying the *current* desired model set — what a
-        respawned worker must build, not the boot-time set."""
-        return replace(
-            self,
-            specs=[dict(spec) for spec in specs],
-            aliases=sorted(aliases.items()),
-            default=default,
-        )
+    def boot_state(self) -> PoolState:
+        """The pool's desired state at boot, built by the hub's routing
+        policy, so a boot set a hub would refuse fails here, typed."""
+        state = PoolState()
+        if self.cost_model is not None:
+            state.reload_cost_model(*self.cost_model)
+        for spec in self.specs:
+            state.load(spec)
+        for alias, target in self.aliases:
+            state.routes.alias(alias, target)
+        if self.default:
+            state.routes.set_default(self.default)
+        return state

@@ -31,10 +31,22 @@ Routing, lifecycle and failure handling live here:
   ready replica — a SIGKILLed worker fails zero requests — and only when
   the retry budget or the ready set is exhausted does the caller see a
   typed :class:`ReplicaUnavailableError` (HTTP 503 ``replica-unavailable``).
+* **Desired state.**  The pool's model set is one
+  :class:`~repro.serving.replica.config.PoolState` value whose routing
+  table is the hub's own :class:`~repro.serving.hub.Routes`, so names,
+  aliases, the default and the quarantine fence resolve here exactly as
+  in a hub, with the hub's errors.  An admin mutation changes a copy of
+  the state (a change the policy refuses raises before any RPC), sends
+  the copy to every ready replica in one ``sync`` message, and commits it
+  only when every replica has applied it; on a failure the committed
+  state is synced back and the error re-raised.  Spawns and respawns
+  boot from the committed state and sync to it before taking traffic.
 
-Lock order is ``routing → handle`` (never inverted): the routing lock
-guards the slot table and the desired model state; each handle's mutex
-guards that replica's pipe writes and pending-call map.
+Lock order is ``admin → routing → handle`` (never inverted): the admin
+lock serialises desired-state changes and replica installs, the routing
+lock guards the slot table, and each handle's mutex guards that
+replica's pipe writes and pending-call map.  Reads of the committed
+state take no lock: it is never mutated once published.
 """
 
 from __future__ import annotations
@@ -47,26 +59,26 @@ import threading
 import time
 from concurrent.futures import Future
 from multiprocessing.reduction import ForkingPickler
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ...concurrency import TrackedLock, TrackedRLock
 from ..costmodel import DEFAULT_COST_MODEL_NAME
 from ..deployment import DeploymentSpec, deployment_spec_to_dict
-from ..hub import DeploymentNotFoundError, DeploymentQuarantinedError
+from ..hub import Routes, RoutingReads
 from ..stats import aggregate_snapshots
 from .config import (
     DrainingError,
+    PoolState,
     ReplicaConfig,
-    ReplicaError,
     ReplicaUnavailableError,
 )
 from .transport import (
-    OP_ADMIN,
     OP_INTROSPECT,
     OP_PING,
     OP_PREDICT_MANY,
     OP_SHUTDOWN,
     OP_SUBMIT,
+    OP_SYNC,
     READY_ID,
     RETRYABLE_OPS,
     STATUS_OK,
@@ -75,7 +87,7 @@ from .transport import (
 )
 from .worker import worker_main
 
-#: ceiling on one control-plane round trip (admin / introspection).
+#: ceiling on one control-plane round trip (sync / introspection).
 _RPC_TIMEOUT_S = 60.0
 
 
@@ -211,7 +223,7 @@ class _RemoteDeployment:
         )["model"]
 
 
-class ReplicaSupervisor:
+class ReplicaSupervisor(RoutingReads):
     """Owns N replica processes; looks like a :class:`ModelHub` to callers."""
 
     #: the supervisor has no in-process shared infrastructure — each
@@ -236,18 +248,10 @@ class ReplicaSupervisor:
         self._handles: List[Optional[_ReplicaHandle]] = [None] * config.replicas
         self._generations: Dict[int, int] = {}
         self._ids = itertools.count(1)
-        # Desired model state, mirrored from the boot config and every
-        # admin mutation since; respawned workers are built from (and
-        # sync'd to) this, never the boot-time set.
-        self._specs: Dict[str, Dict[str, object]] = {
-            str(spec["name"]): dict(spec) for spec in config.specs
-        }
-        self._aliases: Dict[str, str] = dict(config.aliases)
-        self._default: Optional[str] = config.default or (
-            next(iter(self._specs)) if len(self._specs) == 1 else None
-        )
-        self._quarantined: Dict[str, str] = {}
-        self._cost_model_ref = config.cost_model
+        # The committed desired state: the boot set plus every admin
+        # mutation since; spawns are built from it, never the boot set.
+        self._admin = TrackedLock("replica.admin", allow_blocking=True)
+        self._state: PoolState = config.boot_state()
         self._ctx = None
         self._started = False
         self._draining = False
@@ -356,16 +360,10 @@ class ReplicaSupervisor:
         with self._routing:
             generation = self._generations.get(slot, 0) + 1
             self._generations[slot] = generation
-            specs = [dict(spec) for spec in self._specs.values()]
-            aliases = dict(self._aliases)
-            default = self._default
-            cost_model = self._cost_model_ref
-        snapshot = self._config.snapshot_for_spawn(specs, aliases, default)
-        snapshot.cost_model = cost_model
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, snapshot, slot, generation),
+            args=(child_conn, self._config, self._state, slot, generation),
             name=f"repro-replica-{slot}-g{generation}",
             daemon=True,
         )
@@ -536,46 +534,26 @@ class ReplicaSupervisor:
         return call
 
     # ----------------------------------------------------- name resolution
-    def _resolve_name(
-        self, name: Optional[str], for_predict: bool = False
-    ) -> str:
-        with self._routing:
-            if for_predict and self._draining:
-                raise DrainingError(
-                    "the replica pool is draining; new requests are refused"
-                )
-            specs = self._specs
-            if name is None:
-                canonical = self._default
-                if canonical is None:
-                    raise DeploymentNotFoundError(
-                        "this hub has no default deployment; address a model "
-                        "by name (POST /v1/models/<name>/predict)"
-                    )
-            else:
-                canonical = name if name in specs else self._aliases.get(name)
-                if canonical is None or canonical not in specs:
-                    raise DeploymentNotFoundError(
-                        f"no deployment or alias named {name!r}"
-                    )
-            reason = self._quarantined.get(canonical)
-        if for_predict and reason is not None:
-            raise DeploymentQuarantinedError(
-                f"deployment {canonical!r} is quarantined: {reason}"
-            )
-        return canonical
+    @property
+    def _routes(self) -> Routes:
+        return self._state.routes
 
     def resolve(self, name: Optional[str] = None) -> _RemoteDeployment:
-        return _RemoteDeployment(self._resolve_name(name), self)
+        return _RemoteDeployment(self._routes.resolve(name), self)
 
     def resolve_for_predict(self, name: Optional[str] = None) -> _RemoteDeployment:
-        return _RemoteDeployment(
-            self._resolve_name(name, for_predict=True), self
-        )
+        return _RemoteDeployment(self._canonical_for_predict(name), self)
+
+    def _canonical_for_predict(self, name: Optional[str]) -> str:
+        if self._draining:
+            raise DrainingError(
+                "the replica pool is draining; new requests are refused"
+            )
+        return self._routes.resolve(name, for_predict=True)
 
     # ------------------------------------------------------------ prediction
     def submit(self, name: Optional[str], request) -> Future:
-        canonical = self._resolve_name(name, for_predict=True)
+        canonical = self._canonical_for_predict(name)
         # No cache, nothing for affinity to keep hot: route least-pending.
         key = request_affinity_key(request) if self._config.enable_cache else None
         call = self._dispatch(
@@ -587,7 +565,7 @@ class ReplicaSupervisor:
         return self.submit(name, request).result()
 
     def predict_many(self, name: Optional[str], requests) -> List[object]:
-        canonical = self._resolve_name(name, for_predict=True)
+        canonical = self._canonical_for_predict(name)
         requests = list(requests)
         if not requests:
             return []
@@ -667,159 +645,98 @@ class ReplicaSupervisor:
                     ready.append(handle)
         return ready
 
-    def _admin_broadcast(self, action: str, args: Dict[str, object]) -> List[object]:
-        handles = self._ready_handles()
-        if not handles:
-            raise ReplicaUnavailableError(
-                f"no ready replica to apply admin operation {action!r}"
-            )
+    def _mutate(self, change: Callable[[PoolState], None]) -> List[Dict[str, object]]:
+        """One admin mutation, as a change to the desired state: applied to
+        a copy (the routing policy raises the hub's own errors here, before
+        any RPC), synced to every ready replica, committed once all have
+        applied it.  Serialised, so copy-then-commit loses no update;
+        returns the replicas' ``sync`` replies."""
+        with self._admin:
+            staged = self._state.copy()
+            change(staged)
+            replies = self._sync_ready(staged)
+            self._state = staged
+        return replies
+
+    def _sync_calls(self, state: PoolState) -> List[_PendingCall]:
         calls = []
-        for handle in handles:
-            call = _PendingCall(OP_ADMIN, {"action": action, "args": args})
+        for handle in self._ready_handles():
+            call = _PendingCall(OP_SYNC, state)
             if self._send(handle, call):
                 calls.append(call)
+        return calls
+
+    def _sync_ready(self, state: PoolState) -> List[Dict[str, object]]:
+        calls = self._sync_calls(state)
         if not calls:
-            raise ReplicaUnavailableError(
-                f"no ready replica accepted admin operation {action!r}"
-            )
-        results: List[object] = []
-        first_exc: Optional[BaseException] = None
+            raise ReplicaUnavailableError("no ready replica to apply the admin change")
+        replies: List[Dict[str, object]] = []
+        failure: Optional[Exception] = None
         for call in calls:
             try:
-                results.append(call.future.result(timeout=_RPC_TIMEOUT_S))
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            # Replicas may have diverged (op landed on some); reconcile
-            # everyone back to the desired state before surfacing the
-            # failure, so a half-applied mutation can't linger.
-            self._sync_all_best_effort()
-            raise first_exc
-        return results
-
-    def _desired_state(self) -> Dict[str, object]:
-        with self._routing:
-            return {
-                "specs": [dict(spec) for spec in self._specs.values()],
-                "aliases": sorted(self._aliases.items()),
-                "default": self._default,
-                "quarantined": dict(self._quarantined),
-            }
+                replies.append(call.future.result(timeout=_RPC_TIMEOUT_S))
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            # The change may have landed on some replicas: converge every
+            # one back on the committed state before surfacing the failure.
+            for call in self._sync_calls(self._state):
+                try:
+                    call.future.result(timeout=_RPC_TIMEOUT_S)
+                except Exception:
+                    pass
+            raise failure
+        return replies
 
     def _sync_handle(self, handle: _ReplicaHandle) -> None:
-        call = _PendingCall(
-            OP_ADMIN, {"action": "sync", "args": self._desired_state()}
-        )
+        call = _PendingCall(OP_SYNC, self._state)
         if not self._send(handle, call):
             raise ReplicaUnavailableError(
                 f"replica {handle.slot} died before it could be synced"
             )
         call.future.result(timeout=_RPC_TIMEOUT_S)
 
-    def _sync_all_best_effort(self) -> None:
-        state = self._desired_state()
-        for handle in self._ready_handles():
-            call = _PendingCall(OP_ADMIN, {"action": "sync", "args": state})
-            if not self._send(handle, call):
-                continue
-            try:
-                call.future.result(timeout=_RPC_TIMEOUT_S)
-            except Exception:
-                pass
-
     def load(self, spec: DeploymentSpec, replace: bool = False) -> _RemoteDeployment:
         spec_data = deployment_spec_to_dict(spec)
-        results = self._admin_broadcast(
-            "load", {"spec": spec_data, "replace": replace}
+        replies = self._mutate(lambda state: state.load(spec_data, replace))
+        return _RemoteDeployment(
+            spec.name, self, describe_payload=replies[0]["loaded"][spec.name]
         )
-        with self._routing:
-            self._specs[spec.name] = spec_data
-            if self._default is None:
-                self._default = spec.name
-        return _RemoteDeployment(spec.name, self, describe_payload=results[0])
 
     def unload(self, name: str) -> _RemoteDeployment:
-        self._admin_broadcast("unload", {"name": name})
-        with self._routing:
-            self._specs.pop(name, None)
-            self._quarantined.pop(name, None)
-            if self._default == name:
-                remaining = list(self._specs)
-                self._default = remaining[0] if len(remaining) == 1 else None
+        self._mutate(lambda state: state.routes.remove(name))
         return _RemoteDeployment(name, self)
 
     def reload(self, name: str) -> _RemoteDeployment:
-        results = self._admin_broadcast("reload", {"name": name})
-        return _RemoteDeployment(name, self, describe_payload=results[0])
+        replies = self._mutate(lambda state: state.reload(name))
+        return _RemoteDeployment(
+            name, self, describe_payload=replies[0]["loaded"][name]
+        )
 
     def alias(self, alias: str, target: str) -> None:
-        self._admin_broadcast("alias", {"alias": alias, "target": target})
-        with self._routing:
-            self._aliases[alias] = target
+        self._mutate(lambda state: state.routes.alias(alias, target))
 
     def unalias(self, alias: str) -> None:
-        self._admin_broadcast("unalias", {"alias": alias})
-        with self._routing:
-            self._aliases.pop(alias, None)
+        self._mutate(lambda state: state.routes.unalias(alias))
 
-    def set_default(self, name: str) -> None:
-        self._admin_broadcast("set_default", {"name": name})
-        with self._routing:
-            self._default = name
+    def set_default(self, name: Optional[str]) -> None:
+        self._mutate(lambda state: state.routes.set_default(name))
 
     def quarantine(self, name: str, reason: str = "operator request") -> None:
-        canonical = self._resolve_name(name)
-        self._admin_broadcast(
-            "quarantine", {"name": canonical, "reason": str(reason)}
-        )
-        with self._routing:
-            self._quarantined[canonical] = str(reason)
+        self._mutate(lambda state: state.routes.quarantine(name, reason))
 
     def unquarantine(self, name: str) -> None:
-        canonical = self._resolve_name(name)
-        self._admin_broadcast("unquarantine", {"name": canonical})
-        with self._routing:
-            self._quarantined.pop(canonical, None)
-
-    def quarantined(self) -> Dict[str, str]:
-        with self._routing:
-            return dict(self._quarantined)
+        self._mutate(lambda state: state.routes.unquarantine(name))
 
     def reload_cost_model(
         self,
         name: str = DEFAULT_COST_MODEL_NAME,
         version: Optional[str] = None,
     ) -> Dict[str, object]:
-        results = self._admin_broadcast(
-            "reload_cost_model", {"name": name, "version": version}
-        )
-        with self._routing:
-            self._cost_model_ref = (name, version)
-        return results[0]
+        replies = self._mutate(lambda state: state.reload_cost_model(name, version))
+        return replies[0]["cost_model"]
 
     # ---------------------------------------------------------- introspection
-    def names(self) -> List[str]:
-        with self._routing:
-            return sorted(self._specs)
-
-    def aliases(self) -> Dict[str, str]:
-        with self._routing:
-            return dict(self._aliases)
-
-    @property
-    def default_name(self) -> Optional[str]:
-        with self._routing:
-            return self._default
-
-    def __contains__(self, name: str) -> bool:
-        with self._routing:
-            return name in self._specs or name in self._aliases
-
-    def __len__(self) -> int:
-        with self._routing:
-            return len(self._specs)
-
     def _introspect_one(self, what: str, args: Dict[str, object]):
         call = self._dispatch(OP_INTROSPECT, {"what": what, "args": args}, key=None)
         return call.future.result(timeout=_RPC_TIMEOUT_S)
@@ -851,15 +768,15 @@ class ReplicaSupervisor:
         return payload
 
     def model_health(self, name: Optional[str] = None) -> Dict[str, object]:
-        canonical = self._resolve_name(name)
+        canonical = self._routes.resolve(name)
         return self._introspect_one("model_health", {"name": canonical})
 
     def model_drift(self, name: Optional[str] = None) -> Dict[str, object]:
-        canonical = self._resolve_name(name)
+        canonical = self._routes.resolve(name)
         return self._introspect_one("drift", {"name": canonical})
 
     def _merged_model_snapshot(self, name: Optional[str]) -> Dict[str, object]:
-        canonical = self._resolve_name(name)
+        canonical = self._routes.resolve(name)
         replies = self._introspect_broadcast("model_snapshot", {"name": canonical})
         snapshots = [reply["snapshot"] for _, reply in replies]
         windows = [reply["window"] for _, reply in replies]
@@ -915,15 +832,13 @@ class ReplicaSupervisor:
             )
             for model, snaps in model_snaps.items()
         }
-        with self._routing:
-            aliases = dict(self._aliases)
-            default = self._default
+        routes = self._routes
         return {
             "uptime_s": time.monotonic() - self._created_monotonic,
             "models": models,
             "aggregate": aggregate_snapshots(all_snaps, latency_windows=all_windows),
-            "aliases": aliases,
-            "default": default,
+            "aliases": dict(routes.aliases),
+            "default": routes.default,
             # No process-local infrastructure: the per-replica copies live
             # under "replicas", mirroring where the processes actually are.
             "cache": None,
@@ -938,7 +853,7 @@ class ReplicaSupervisor:
         predicted sustainable QPS *summed* across replicas — capacity is
         the one metric that genuinely adds up when processes multiply."""
         if name is not None:
-            self._resolve_name(name)
+            self._routes.resolve(name)
         replies = self._introspect_broadcast("capacity", {"name": name})
         models: Dict[str, Dict[str, object]] = {}
         cost_model = None
@@ -1051,6 +966,30 @@ class ReplicaSupervisor:
         call.future.add_done_callback(_pong)
         self._send(handle, call)
 
+    def _swap_in(self, slot: int, old: _ReplicaHandle) -> bool:
+        """Spawn a replacement for ``old``, sync it to the committed state
+        and install it in the slot; False (replacement killed) if it
+        failed or the slot moved on (shutdown, another swap)."""
+        replacement = self._spawn(slot)
+        try:
+            self._await_ready(
+                replacement, time.monotonic() + self._config.spawn_timeout_s
+            )
+            # Held until the slot holds the replacement: a change committed
+            # while it spawned is synced here, and no later change can be
+            # broadcast past it.
+            with self._admin:
+                self._sync_handle(replacement)
+                with self._routing:
+                    swapped = self._handles[slot] is old and not self._draining
+                    if swapped:
+                        self._handles[slot] = replacement
+        except Exception:
+            swapped = False
+        if not swapped:
+            replacement.process.kill()
+        return swapped
+
     def _respawn(self, slot: int, old: _ReplicaHandle) -> None:
         with self._routing:
             if self._handles[slot] is not old or self._draining:
@@ -1059,42 +998,12 @@ class ReplicaSupervisor:
             old.conn.close()
         except OSError:
             pass
-        replacement = self._spawn(slot)
-        deadline = time.monotonic() + self._config.spawn_timeout_s
-        try:
-            self._await_ready(replacement, deadline)
-            # Catch up with any admin mutation that landed while this
-            # worker was being spawned.
-            self._sync_handle(replacement)
-        except Exception:
-            replacement.process.kill()
-            return  # next tick retries the respawn
-        with self._routing:
-            if self._handles[slot] is old:
-                self._handles[slot] = replacement
-                return
-        # Lost a race (shutdown); retire the fresh worker again.
-        replacement.process.kill()
+        self._swap_in(slot, old)  # on failure the next tick retries
 
     def _replace_slot(self, slot: int, old: _ReplicaHandle) -> None:
         """Recycle: replacement first, swap, then drain the old worker —
         the slot never has zero ready processes, so traffic never pauses."""
-        replacement = self._spawn(slot)
-        deadline = time.monotonic() + self._config.spawn_timeout_s
-        try:
-            self._await_ready(replacement, deadline)
-            self._sync_handle(replacement)
-        except Exception:
-            replacement.process.kill()
-            return
-        with self._routing:
-            if self._handles[slot] is not old or self._draining:
-                swapped = False
-            else:
-                self._handles[slot] = replacement
-                swapped = True
-        if not swapped:
-            replacement.process.kill()
+        if not self._swap_in(slot, old):
             return
         with old.mutex:
             if old.state == "ready":

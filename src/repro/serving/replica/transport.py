@@ -4,7 +4,9 @@ Supervisor and worker exchange pickled tuples over one duplex
 :func:`multiprocessing.Pipe` per replica:
 
 * supervisor → worker: ``(request_id, op, payload)`` where ``op`` is one
-  of the ``OP_*`` constants;
+  of the ``OP_*`` constants.  Admin has exactly one message, ``sync``,
+  whose payload is the pool's whole desired state
+  (:class:`~repro.serving.replica.config.PoolState`);
 * worker → supervisor: ``(request_id, STATUS_OK, result)`` or
   ``(request_id, STATUS_ERR, encoded_exception)``, plus the two
   unsolicited lifecycle messages :data:`READY_ID`/``STATUS_READY``
@@ -12,39 +14,33 @@ Supervisor and worker exchange pickled tuples over one duplex
   ``STATUS_FATAL`` (the hub could not be built — the spawn fails loudly
   instead of hanging the ready-wait).
 
-Exceptions do not pickle reliably across versions (and a traceback
-object never does), so hub errors cross the pipe as ``{"kind", "message",
-...}`` dicts: :func:`encode_exception` flattens the exception types the
-serving stack raises on purpose, and :func:`decode_exception` rebuilds
-the *same* type supervisor-side, so the HTTP layer's exception → status
-mapping behaves identically whether a model is local or three processes
-away.  Unknown worker-side types decode to :class:`ReplicaError` (a
-server-side failure, surfaced as such).
+A worker exception crosses the pipe as its own class: it is pickled on
+its own (class by reference, arguments, instance attributes such as
+``retry_after_s``) and unpickled supervisor-side, so the HTTP layer's
+exception → status mapping behaves identically whether a model is local
+or three processes away, with no per-type table to keep in step.  An
+exception that cannot make the trip — a class pickle cannot reach by
+reference, an ``__init__`` its own arguments cannot rebuild — arrives as
+a :class:`RemoteWorkerError`, a server-side failure (HTTP 500
+``internal``), as the same exception would be in-process.
 """
 
 from __future__ import annotations
 
+import pickle
 from typing import Dict, Tuple
 
 from ...graphs.graph import Edge, Node, ProgramGraph
-from ..costmodel import OverCapacityError
-from ..deployment import DeploymentSpecError
 from ..ensemble import EnsemblePredictionResult
-from ..hub import (
-    DeploymentExistsError,
-    DeploymentNotFoundError,
-    DeploymentQuarantinedError,
-    HubError,
-)
-from ..registry import ArtifactNotFoundError
+from ..hub import Routes
 from ..service import PredictionResult
-from .config import DrainingError, ReplicaConfig, ReplicaError, ReplicaUnavailableError
+from .config import PoolState, ReplicaConfig
 
 #: request ops.
 OP_SUBMIT = "submit"
 OP_PREDICT_MANY = "predict_many"
 OP_PING = "ping"
-OP_ADMIN = "admin"
+OP_SYNC = "sync"
 OP_INTROSPECT = "introspect"
 OP_SHUTDOWN = "shutdown"
 
@@ -62,22 +58,6 @@ STATUS_FATAL = "fatal"
 #: request id of the unsolicited lifecycle messages.
 READY_ID = -1
 
-#: exception type <-> wire kind (order matters: subclasses first, so the
-#: most specific kind wins when encoding).
-_KINDS: Tuple[Tuple[str, type], ...] = (
-    ("over-capacity", OverCapacityError),
-    ("artifact-not-found", ArtifactNotFoundError),
-    ("deployment-not-found", DeploymentNotFoundError),
-    ("deployment-quarantined", DeploymentQuarantinedError),
-    ("deployment-exists", DeploymentExistsError),
-    ("invalid-spec", DeploymentSpecError),
-    ("draining", DrainingError),
-    ("replica-unavailable", ReplicaUnavailableError),
-    ("replica", ReplicaError),
-    ("hub", HubError),
-)
-_DECODERS: Dict[str, type] = {kind: type_ for kind, type_ in _KINDS}
-
 #: every type sent through the pipe RPC as (part of) a request or reply
 #: payload.  Declarative on purpose: the ``pickle-safety`` lint rule
 #: walks each class (transitively) and rejects process-local state —
@@ -88,6 +68,8 @@ _DECODERS: Dict[str, type] = {kind: type_ for kind, type_ in _KINDS}
 #: worker-side, so those two cross as their fields, not as instances.
 WIRE_TYPES: Tuple[type, ...] = (
     ReplicaConfig,
+    PoolState,
+    Routes,
     ProgramGraph,
     Node,
     Edge,
@@ -96,29 +78,36 @@ WIRE_TYPES: Tuple[type, ...] = (
 )
 
 
+class RemoteWorkerError(RuntimeError):
+    """A worker exception the pipe could not carry as its own class."""
+
+
 def encode_exception(exc: BaseException) -> Dict[str, object]:
-    """Flatten one exception into the wire dict the pipe can carry."""
-    for kind, exc_type in _KINDS:
-        if isinstance(exc, exc_type):
-            payload: Dict[str, object] = {"kind": kind, "message": str(exc)}
-            if isinstance(exc, OverCapacityError):
-                payload["retry_after_s"] = float(exc.retry_after_s)
-            return payload
-    return {
-        "kind": "internal",
-        "message": f"{type(exc).__name__}: {exc}",
-    }
+    """The wire form of one worker exception: the exception pickled on its
+    own (``None`` if it cannot be), plus a description to fall back on."""
+    try:
+        description = f"{type(exc).__qualname__}: {exc}"
+    except Exception:
+        description = type(exc).__qualname__
+    try:
+        pickled = pickle.dumps(exc)
+    except Exception:
+        pickled = None
+    return {"description": description, "pickled": pickled}
 
 
 def decode_exception(payload: Dict[str, object]) -> Exception:
-    """Rebuild the typed exception a worker encoded (see module doc)."""
-    kind = payload.get("kind")
-    message = str(payload.get("message", "replica worker error"))
-    if kind == "over-capacity":
-        return OverCapacityError(
-            message, retry_after_s=float(payload.get("retry_after_s", 1.0))
-        )
-    exc_type = _DECODERS.get(str(kind))
-    if exc_type is not None:
-        return exc_type(message)
-    return ReplicaError(f"replica worker failed: {message}")
+    """The exception a worker encoded, rebuilt as its own class; anything
+    that cannot be rebuilt becomes a :class:`RemoteWorkerError`.  Never
+    raises: it runs on the supervisor's pipe reader thread."""
+    try:
+        exc = pickle.loads(payload["pickled"])
+        if isinstance(exc, Exception):
+            return exc
+    except Exception:
+        pass
+    try:
+        description = payload["description"]
+    except Exception:
+        description = "unreadable worker error"
+    return RemoteWorkerError(f"replica worker failed: {description}")

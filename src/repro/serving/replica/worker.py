@@ -1,26 +1,29 @@
 """Replica worker: one long-lived process hosting a full ModelHub.
 
 Spawned by the :class:`~repro.serving.replica.supervisor.ReplicaSupervisor`
-with a :class:`~repro.serving.replica.config.ReplicaConfig` snapshot, the
+with its :class:`~repro.serving.replica.config.ReplicaConfig` and the
+pool's current :class:`~repro.serving.replica.config.PoolState`, the
 worker builds its own private :class:`~repro.serving.hub.ModelHub`
 (registry, shared cache, batcher pool, per-slot journal subdirectory,
-per-slot checkpoint dump doubling as the warm-up file), sends the ready
-handshake, and then answers pipe requests until told to shut down:
+per-slot checkpoint dump doubling as the warm-up file), brings it to that
+state, sends the ready handshake, and then answers pipe requests until
+told to shut down:
 
 * prediction ops (``submit``/``predict_many``) run on a small thread
   pool so concurrent RPCs from the supervisor overlap and coalesce in
   the hub's micro-batchers, exactly as concurrent HTTP handler threads
   do in the single-process server;
-* control ops (``ping``/``admin``/``introspect``) are answered inline on
+* control ops (``ping``/``sync``/``introspect``) are answered inline on
   the pipe reader thread, so a worker buried in inference still answers
   heartbeats immediately;
-* the ``sync`` admin op reconciles the hub against the supervisor's
-  current desired state — how a replica respawned mid-flight catches up
-  with runtime ``load``/``alias``/``quarantine`` mutations.
+* ``sync`` is the only admin message: it carries the pool's whole
+  desired state, and :meth:`ReplicaWorker._sync` reconciles the hub to
+  it — at boot, after every admin mutation, and when a respawned replica
+  catches up.
 
-Failures stay typed across the pipe: anything the hub raises is encoded
-by :mod:`~repro.serving.replica.transport` and rebuilt supervisor-side,
-so remote errors surface with the same HTTP mapping as local ones.
+Failures stay typed across the pipe: anything the hub raises crosses as
+its own class (:mod:`~repro.serving.replica.transport`), so remote errors
+surface with the same HTTP mapping as local ones.
 """
 
 from __future__ import annotations
@@ -32,16 +35,16 @@ from typing import Dict, Optional
 
 from ...concurrency import TrackedLock
 from ..costmodel import cost_model_summary
-from ..deployment import deployment_spec_from_dict, deployment_spec_to_dict
+from ..deployment import deployment_spec_from_dict
 from ..hub import ModelHub
-from .config import ReplicaConfig, ReplicaError
+from .config import PoolState, ReplicaConfig, ReplicaError
 from .transport import (
-    OP_ADMIN,
     OP_INTROSPECT,
     OP_PING,
     OP_PREDICT_MANY,
     OP_SHUTDOWN,
     OP_SUBMIT,
+    OP_SYNC,
     READY_ID,
     STATUS_ERR,
     STATUS_FATAL,
@@ -52,7 +55,7 @@ from .transport import (
 
 
 def build_worker_hub(config: ReplicaConfig, slot: int) -> ModelHub:
-    """The slot's private hub, built from the supervisor's desired state.
+    """The slot's private hub, serving nothing until its first ``sync``.
 
     The per-slot checkpoint dump is wired as **both** the checkpoint path
     and the warm-up path: whatever cache the previous incarnation of this
@@ -60,9 +63,9 @@ def build_worker_hub(config: ReplicaConfig, slot: int) -> ModelHub:
     replica enters rotation hot (the warm hand-off).
     """
     checkpoint_path = config.slot_checkpoint_path(slot)
-    hub = ModelHub(
+    return ModelHub(
         config.registry_root,
-        cache_capacity=max(int(config.cache_capacity), 1),
+        cache_capacity=config.cache_capacity,
         enable_cache=config.enable_cache,
         warmup_path=checkpoint_path,
         checkpoint_path=checkpoint_path,
@@ -71,27 +74,25 @@ def build_worker_hub(config: ReplicaConfig, slot: int) -> ModelHub:
         journal_dir=config.slot_journal_dir(slot),
         journal_record_graphs=config.journal_record_graphs,
     )
-    if config.cost_model is not None:
-        name, version = config.cost_model
-        hub.reload_cost_model(name, version)
-    for spec_data in config.specs:
-        hub.load(deployment_spec_from_dict(spec_data))
-    for alias, target in config.aliases:
-        hub.alias(alias, target)
-    if config.default:
-        hub.set_default(config.default)
-    return hub
 
 
 class ReplicaWorker:
     """The request loop of one replica process."""
 
-    def __init__(self, conn, config: ReplicaConfig, slot: int, generation: int):
+    def __init__(
+        self, conn, config: ReplicaConfig, state: PoolState, slot: int,
+        generation: int,
+    ):
         self._conn = conn
         self._config = config
+        self._boot_state = state
         self._slot = slot
         self._generation = generation
         self._hub: Optional[ModelHub] = None
+        # Generations of the deployments and the cost model this hub was
+        # last brought to (0: no cost model yet).
+        self._loaded: Dict[str, int] = {}
+        self._cost_model_generation = 0
         self._send_lock = TrackedLock("replica.worker.send", allow_blocking=True)
         self._executor = ThreadPoolExecutor(
             max_workers=config.worker_threads,
@@ -146,85 +147,50 @@ class ReplicaWorker:
         self._executor.submit(_run)
 
     # ---------------------------------------------------------------- admin
-    def _admin(self, action: str, args: Dict[str, object]):
-        hub = self._hub
-        if action == "load":
-            spec = deployment_spec_from_dict(args["spec"])
-            deployment = hub.load(spec, replace=bool(args.get("replace", False)))
-            return deployment.describe()
-        if action == "unload":
-            return {"unloaded": hub.unload(args["name"]).name}
-        if action == "reload":
-            return hub.reload(args["name"]).describe()
-        if action == "alias":
-            hub.alias(args["alias"], args["target"])
-            return None
-        if action == "unalias":
-            hub.unalias(args["alias"])
-            return None
-        if action == "set_default":
-            hub.set_default(args["name"])
-            return None
-        if action == "quarantine":
-            hub.quarantine(args["name"], args.get("reason", "operator request"))
-            return None
-        if action == "unquarantine":
-            hub.unquarantine(args["name"])
-            return None
-        if action == "reload_cost_model":
-            model = hub.reload_cost_model(args["name"], args.get("version"))
-            return cost_model_summary(model)
-        if action == "sync":
-            return self._sync(args)
-        raise ReplicaError(f"unknown admin action {action!r}")
+    def _sync(self, state: PoolState) -> Dict[str, object]:
+        """Reconcile the hub to the pool's desired ``state``.
 
-    def _sync(self, args: Dict[str, object]) -> Dict[str, object]:
-        """Reconcile the hub against the supervisor's desired state.
-
-        Runs right after the ready handshake of every (re)spawned worker:
-        mutations that landed while this process was being spawned (a
-        ``load`` racing the respawn, an alias flip, a quarantine) are
-        applied here, so a replica can never enter rotation serving a
-        stale model set.
+        The only admin path: boot, every admin mutation and every
+        respawned replica's catch-up all land here, so a replica can never
+        enter rotation serving a stale model set.  A deployment is
+        (re)built only when its generation moved; the reply carries the
+        description of each deployment built and the cost model in force.
+        A failure (a missing artifact, a bad spec, a registry error)
+        raises typed; the supervisor then syncs the previous state back.
         """
-        hub = self._hub
-        desired_specs = {
-            str(spec["name"]): dict(spec) for spec in (args.get("specs") or [])
-        }
-        desired_aliases = {
-            str(alias): str(target) for alias, target in (args.get("aliases") or [])
-        }
+        hub, routes = self._hub, state.routes
         # Aliases first: a stale alias would block unloading its target.
         for alias, target in hub.aliases().items():
-            if desired_aliases.get(alias) != target:
+            if routes.aliases.get(alias) != target:
                 hub.unalias(alias)
         for name in hub.names():
-            if name not in desired_specs:
+            if name not in routes.deployments:
                 hub.unload(name)
-        for name, spec_data in desired_specs.items():
-            spec = deployment_spec_from_dict(spec_data)
-            if name not in hub.names():
-                hub.load(spec)
-            else:
-                current = hub.resolve(name).spec
-                if current is None or deployment_spec_to_dict(current) != spec_data:
-                    hub.load(spec, replace=True)
-        for alias, target in desired_aliases.items():
-            if hub.aliases().get(alias) != target:
+                del self._loaded[name]
+        # Before any build, so new deployments bind their SLO against it.
+        if state.cost_model_generation != self._cost_model_generation:
+            hub.reload_cost_model(*state.cost_model)
+            self._cost_model_generation = state.cost_model_generation
+        loaded: Dict[str, object] = {}
+        for name, (spec, generation) in routes.deployments.items():
+            if self._loaded.get(name) != generation:
+                deployment = hub.load(
+                    deployment_spec_from_dict(spec), replace=name in self._loaded
+                )
+                self._loaded[name] = generation
+                loaded[name] = deployment.describe()
+        current = hub.aliases()
+        for alias, target in routes.aliases.items():
+            if current.get(alias) != target:
                 hub.alias(alias, target)
-        default = args.get("default")
-        if isinstance(default, str) and hub.default_name != default:
-            hub.set_default(default)
-        desired_quarantined = {
-            str(name): str(reason)
-            for name, reason in (args.get("quarantined") or {}).items()
-        }
+        if hub.default_name != routes.default:
+            hub.set_default(routes.default)
         for name in hub.quarantined():
-            if name not in desired_quarantined:
+            if name not in routes.quarantined:
                 hub.unquarantine(name)
-        for name, reason in desired_quarantined.items():
+        for name, reason in routes.quarantined.items():
             hub.quarantine(name, reason)
-        return {"models": hub.names()}
+        return {"loaded": loaded, "cost_model": cost_model_summary(hub.cost_model)}
 
     # ---------------------------------------------------------- introspection
     def _introspect(self, what: str, args: Dict[str, object]):
@@ -283,6 +249,7 @@ class ReplicaWorker:
     def run(self) -> None:
         try:
             self._hub = build_worker_hub(self._config, self._slot)
+            self._sync(self._boot_state)
             self._hub.start()
         except BaseException as exc:
             self._reply(READY_ID, STATUS_FATAL, encode_exception(exc))
@@ -323,9 +290,9 @@ class ReplicaWorker:
                     self._handle_submit(request_id, payload)
                 elif op == OP_PREDICT_MANY:
                     self._handle_predict_many(request_id, payload)
-                elif op == OP_ADMIN:
+                elif op == OP_SYNC:
                     try:
-                        result = self._admin(payload["action"], payload.get("args") or {})
+                        result = self._sync(payload)
                     except BaseException as exc:
                         self._reply_error(request_id, exc)
                     else:
@@ -353,7 +320,9 @@ class ReplicaWorker:
                 pass
 
 
-def worker_main(conn, config: ReplicaConfig, slot: int, generation: int) -> None:
+def worker_main(
+    conn, config: ReplicaConfig, state: PoolState, slot: int, generation: int
+) -> None:
     """Process entry point (must stay importable: spawn/forkserver re-import
     this module in the child)."""
     # The supervisor owns shutdown: a terminal Ctrl-C goes to the whole
@@ -363,4 +332,4 @@ def worker_main(conn, config: ReplicaConfig, slot: int, generation: int) -> None
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # non-main thread / exotic platform
         pass
-    ReplicaWorker(conn, config, slot, generation).run()
+    ReplicaWorker(conn, config, state, slot, generation).run()

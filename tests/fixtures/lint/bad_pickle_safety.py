@@ -7,8 +7,6 @@ class smuggling a lambda, and a name that resolves to nothing.
 
 import threading
 
-_KINDS = (("error", Exception),)
-
 WIRE_TYPES = (
     WireConfig,
     WireResult,

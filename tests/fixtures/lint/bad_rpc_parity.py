@@ -3,8 +3,8 @@
 Drift in every direction the rule checks: an unmirrored hub method, a
 supervisor-only method without a MIRROR_EXTRA declaration, an
 incompatible signature, a stale exemption, an op the worker never
-handles, an op the supervisor never dispatches, an admin action with no
-worker branch, and a dead worker branch.
+handles, an op the supervisor never dispatches, an introspection question
+with no worker branch, and a dead worker branch.
 """
 
 OP_SUBMIT = "submit"
@@ -17,6 +17,9 @@ class ModelHub:
 
     def quarantine(self, name, reason="operator request"):
         return name, reason
+
+    def model_health(self, name):
+        return name
 
     def brand_new_admin(self, name):  # no supervisor mirror
         return name
@@ -31,8 +34,11 @@ class ReplicaSupervisor:
         self._send(OP_FORGOTTEN, {})
 
     def quarantine(self, name):  # signature drift: no reason=... default
-        self._admin_broadcast("quarantine", {"name": name})
-        self._admin_broadcast("vanish", {"name": name})  # no worker branch
+        return name
+
+    def model_health(self, name):
+        self._introspect_one("model_health", {"name": name})
+        self._introspect_one("vanish", {"name": name})  # no worker branch
 
     def replica_status(self):  # supervisor-only, not in MIRROR_EXTRA
         return []
@@ -40,8 +46,8 @@ class ReplicaSupervisor:
     def _send(self, op, payload):
         return op, payload
 
-    def _admin_broadcast(self, action, args):
-        return action, args
+    def _introspect_one(self, what, args):
+        return what, args
 
 
 class ReplicaWorker:
@@ -50,9 +56,9 @@ class ReplicaWorker:
             return payload
         return None
 
-    def _admin(self, action, args):
-        if action == "quarantine":
+    def _introspect(self, what, args):
+        if what == "model_health":
             return args
-        if action == "ghost":  # dead branch: never dispatched
+        if what == "ghost":  # dead branch: never dispatched
             return args
         return None

@@ -21,7 +21,6 @@ from repro.analysis import all_rules, render_json, render_text, run_rules
 from repro.analysis.cache import LintCache
 from repro.analysis.cli import main as lint_main
 from repro.analysis.rules import (
-    ExceptionCodecRule,
     PickleSafetyRule,
     RouteRegistryRule,
     RpcParityRule,
@@ -93,25 +92,11 @@ class TestRulesOnFixtures:
         assert any("stale MIRROR_EXEMPT entry 'predict'" in m for m in messages)
         assert any("OP_FORGOTTEN is never handled" in m for m in messages)
         assert any(
-            "'vanish' is dispatched supervisor-side" in m for m in messages
-        )
-        assert any("'ghost' is handled by ReplicaWorker._admin" in m for m in messages)
-
-    def test_exception_codec_flags_ordering_coverage_and_reachability(self):
-        findings = fixture_findings("bad_exception_codec.py", "exception-codec")
-        messages = [f["message"] for f in findings]
-        assert any("duplicate codec kind 'hub'" in m for m in messages)
-        assert any(
-            "('over-capacity', OverCapacityError) is unreachable" in m
+            "introspection 'vanish' is dispatched supervisor-side" in m
             for m in messages
         )
         assert any(
-            "encode kind 'quarantined' has no decoder" in m for m in messages
-        )
-        assert any(
-            "DrainingError is raised on a worker-reachable path" in m
-            and "demoted to its base class HubError" in m
-            for m in messages
+            "'ghost' is handled by ReplicaWorker._introspect" in m for m in messages
         )
 
     def test_pickle_safety_flags_hazards_and_transitive_chains(self):
@@ -190,27 +175,6 @@ class TestSeededMutations:
         findings = run_rules(paths, rules=rule).findings
         assert any(
             "'brand_new_admin' has no ReplicaSupervisor mirror" in f.message
-            for f in findings
-        )
-
-    def test_codec_entry_ordered_after_its_base_is_caught(self, tmp_path):
-        paths = self._copy(
-            tmp_path, ["replica/transport.py", "replica/config.py", "hub.py"]
-        )
-        rule = [ExceptionCodecRule()]
-        assert run_rules(paths, rules=rule).findings == []
-        transport = tmp_path / "transport.py"
-        source = transport.read_text()
-        mutated = source.replace(
-            '_KINDS: Tuple[Tuple[str, type], ...] = (\n',
-            '_KINDS: Tuple[Tuple[str, type], ...] = (\n    ("base-first", HubError),\n',
-            1,
-        )
-        assert mutated != source
-        transport.write_text(mutated)
-        findings = run_rules(paths, rules=rule).findings
-        assert any(
-            "is unreachable" in f.message and "'base-first'" in f.message
             for f in findings
         )
 

@@ -1,7 +1,7 @@
 """Tests for the multiprocess replica pool (:mod:`repro.serving.replica`).
 
 Covers the picklable :class:`ReplicaConfig` (validation, per-slot path
-derivations, desired-state snapshots), affinity-key determinism, end-to-end
+derivations, the boot desired state), affinity-key determinism, end-to-end
 parity of a two-replica pool against an in-process :class:`ModelHub`,
 admin-op broadcast (load/alias/quarantine), honest cross-replica metric
 merging (pooled percentiles from raw windows, never
@@ -20,6 +20,7 @@ mapping) is.
 import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -39,8 +40,10 @@ from repro.serving import (
     deployment_spec_to_dict,
     program_graph_to_dict,
 )
+from repro.serving.costmodel import CostModelCalibrator, save_cost_model
 from repro.serving.http import ERROR_CODES
 from repro.serving.replica import supervisor as supervisor_module
+from repro.serving.replica.transport import OP_INTROSPECT, OP_PREDICT_MANY
 from repro.serving.replica import (
     DrainingError,
     ReplicaConfig,
@@ -117,6 +120,9 @@ class TestReplicaConfig:
             make_config(registry_root, heartbeat_interval_s=0.0)
         with pytest.raises(ValueError, match="max_retries"):
             make_config(registry_root, max_retries=-1)
+        # A hub refuses a cache of no entries; so does every replica's.
+        with pytest.raises(ValueError, match="cache_capacity"):
+            make_config(registry_root, cache_capacity=0)
         with pytest.raises(ValueError, match="enable_cache"):
             make_config(
                 registry_root, checkpoint_dir="/tmp/nowhere", enable_cache=False
@@ -144,21 +150,40 @@ class TestReplicaConfig:
         assert bare.slot_journal_dir(0) is None
         assert bare.slot_checkpoint_path(0) is None
 
-    def test_snapshot_for_spawn_carries_current_state_not_boot_state(
-        self, registry_root
-    ):
-        config = make_config(registry_root)
+    def test_boot_state_is_built_by_the_hub_routing_policy(self, registry_root):
         shadow = deployment_spec_to_dict(
             DeploymentSpec(name="shadow", artifact="shadow")
         )
-        snap = config.snapshot_for_spawn(
-            [demo_spec(), shadow], {"prod": "shadow"}, "shadow"
+        config = make_config(
+            registry_root,
+            specs=(demo_spec(), shadow),
+            aliases=[("prod", "shadow")],
+            default="shadow",
+            cost_model=("latency", None),
         )
-        assert [spec["name"] for spec in snap.specs] == ["demo", "shadow"]
-        assert snap.aliases == [("prod", "shadow")]
-        assert snap.default == "shadow"
-        # The boot config itself is untouched.
-        assert [spec["name"] for spec in config.specs] == ["demo"]
+        state = config.boot_state()
+        assert sorted(state.routes.deployments) == ["demo", "shadow"]
+        assert state.routes.aliases == {"prod": "shadow"}
+        assert state.routes.default == "shadow"
+        assert state.cost_model == ("latency", None)
+        # Every load and the cost model got a distinct generation.
+        generations = [g for _, g in state.routes.deployments.values()]
+        generations.append(state.cost_model_generation)
+        assert len(set(generations)) == 3
+        # A boot set a hub would refuse fails with the hub's own error.
+        with pytest.raises(DeploymentNotFoundError):
+            make_config(registry_root, aliases=[("prod", "ghost")]).boot_state()
+
+    def test_state_changes_apply_to_a_copy(self, registry_root):
+        state = make_config(registry_root).boot_state()
+        staged = state.copy()
+        staged.reload("demo")
+        staged.routes.alias("prod", "demo")
+        staged.routes.quarantine("prod", "canary")
+        assert staged.routes.quarantined == {"demo": "canary"}
+        assert state.routes.aliases == {} and state.routes.quarantined == {}
+        before, after = state.routes.deployments, staged.routes.deployments
+        assert after["demo"][1] > before["demo"][1]
 
 
 # -------------------------------------------------------------- affinity
@@ -421,6 +446,227 @@ class TestCachelessRouting:
                 lambda: sum(s["served"] for s in pool.replica_status()) == 40
             ), pool.replica_status()
             assert all(s["served"] > 0 for s in pool.replica_status())
+
+# ------------------------------------------------------ admin as state
+
+
+#: (path, body, status, code) per case: each admin route fails on a hub
+#: and on a pool set up alike (demo + shadow loaded, prod -> shadow,
+#: shadow fenced).  ``set_default`` has no route; a ``None`` path sends
+#: ``set_default(body)`` through the same HTTP error mapping.
+FAILING_ADMIN = {
+    "load-existing": ("demo/load", {"artifact": "demo"}, 409, "model-exists"),
+    "load-missing-artifact": (
+        "ghost/load", {"artifact": "no-such"}, 404, "artifact-not-found",
+    ),
+    "replace-missing-artifact": (
+        "demo/load",
+        {"spec": {"artifact": "no-such"}, "replace": True},
+        404,
+        "artifact-not-found",
+    ),
+    "alias-missing-target": (
+        "canary/alias", {"target": "nope"}, 404, "model-not-found",
+    ),
+    "alias-shadows-deployment": (
+        "demo/alias", {"target": "shadow"}, 409, "model-exists",
+    ),
+    "unalias-unknown": ("nope/alias", {"target": None}, 404, "model-not-found"),
+    "unload-alias-target": ("shadow/unload", {}, 409, "hub-error"),
+    "quarantine-unknown": (
+        "nope/quarantine", {"quarantined": True}, 404, "model-not-found",
+    ),
+    "set-default-unknown": (None, "nope", 404, "model-not-found"),
+}
+
+
+def fail_admin(target, path, body):
+    app = ServingApp(target)
+    if path is None:
+        app._route = lambda *_: {"POST": lambda _: target.set_default(body)}
+        path = "set-default"
+    return app.handle("POST", f"/v1/models/{path}", json.dumps(body).encode())
+
+
+def set_up_admin_target(target):
+    target.load(DeploymentSpec(name="shadow", artifact="shadow"))
+    target.alias("prod", "shadow")
+    target.quarantine("shadow", "bad canary")
+
+
+def replica_views(pool):
+    """Each ready replica's served set, aliases, default and fence."""
+    described = pool._introspect_broadcast("describe", {})
+    capacity = dict(pool._introspect_broadcast("capacity", {"name": None}))
+    views = []
+    for handle, reply in described:
+        fenced = {
+            model: entry["quarantined"]
+            for model, entry in capacity[handle]["models"].items()
+            if entry["quarantined"] is not None
+        }
+        views.append(
+            (sorted(reply["models"]), reply["aliases"], reply["default"], fenced)
+        )
+    return views
+
+
+@pytest.fixture(scope="class")
+def admin_pair(registry_root):
+    hub = ModelHub(registry_root)
+    hub.load(DeploymentSpec(name="demo", artifact="demo"))
+    set_up_admin_target(hub)
+    pool = ReplicaSupervisor(make_config(registry_root)).start()
+    set_up_admin_target(pool)
+    yield hub, pool
+    pool.stop()
+    hub.stop()
+
+
+class TestAdminFailureParity:
+    @pytest.mark.parametrize("case", sorted(FAILING_ADMIN))
+    def test_failed_mutation_answers_alike_and_leaves_no_replica_diverged(
+        self, admin_pair, case
+    ):
+        hub, pool = admin_pair
+        path, body, status, code = FAILING_ADMIN[case]
+        hub_status, hub_payload, hub_headers = fail_admin(hub, path, body)
+        pool_status, pool_payload, pool_headers = fail_admin(pool, path, body)
+        assert (hub_status, hub_payload["error"]["code"]) == (status, code)
+        assert (pool_status, pool_payload["error"]["code"]) == (status, code)
+        assert pool_headers == hub_headers
+
+        # Nothing changed anywhere: the pool still agrees with the hub,
+        # and every replica with the pool.
+        expected = (
+            pool.names(), pool.aliases(), pool.default_name, pool.quarantined()
+        )
+        assert expected == (
+            hub.names(), hub.aliases(), hub.default_name, hub.quarantined()
+        )
+        assert expected == (
+            ["demo", "shadow"], {"prod": "shadow"}, "demo", {"shadow": "bad canary"}
+        )
+        views = replica_views(pool)
+        assert len(views) == 2
+        assert all(view == expected for view in views), views
+
+
+class TestAdminSerialisation:
+    def test_concurrent_mutations_lose_no_update(self, pool, registry_root):
+        hub = ModelHub(registry_root)
+        hub.load(DeploymentSpec(name="demo", artifact="demo"))
+        wanted = {f"alias-{i}": "demo" for i in range(12)}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for target in (hub, pool):
+                threads = [
+                    threading.Thread(target=target.alias, args=(alias, "demo"))
+                    for alias in wanted
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert target.aliases() == wanted
+            replies = pool._introspect_broadcast("describe", {})
+            assert [reply["aliases"] for _, reply in replies] == [wanted, wanted]
+        finally:
+            sys.setswitchinterval(switch)
+            hub.stop()
+            for alias in pool.aliases():
+                pool.unalias(alias)
+
+
+def ask_replica(pool, slot, op, payload):
+    """One RPC to one slot's worker, bypassing the supervisor's routing."""
+    call = supervisor_module._PendingCall(op, payload)
+    call.retryable = False
+    assert pool._send(pool._handles[slot], call)
+    return call.future.result(timeout=60)
+
+
+class TestReplicasCatchUp:
+    def test_respawned_and_reloaded_replicas_serve_the_desired_state(
+        self, raw_graphs, tmp_path
+    ):
+        root = str(tmp_path / "registry")
+        registry = ArtifactRegistry(root)
+        registry.save("demo", small_predictor(seed=1))
+        registry.save("shadow", small_predictor(seed=2))
+        from test_costmodel import synthetic_records
+
+        save_cost_model(
+            registry, CostModelCalibrator(min_batches=2).fit(synthetic_records())
+        )
+        config = make_config(root, heartbeat_interval_s=0.1)
+        graphs = raw_graphs[:4]
+        with ReplicaSupervisor(config) as pool:
+            pool.load(DeploymentSpec(name="shadow", artifact="shadow"))
+            pool.alias("prod", "shadow")
+            pool.set_default("shadow")
+            pool.quarantine("demo", "bad canary")
+            cost_model = pool.reload_cost_model()
+            assert cost_model["artifact"].startswith("latency-cost-model@")
+
+            victim = pool.replica_status()[0]["pid"]
+            os.kill(victim, signal.SIGKILL)
+            assert wait_until(
+                lambda: pool.replica_status()[0]["generation"] == 2
+                and pool.replica_status()[0]["state"] == "ready"
+            ), pool.replica_status()
+
+            # The respawned worker holds the alias, the fence, the default
+            # and the cost model, not just the boot set.
+            served = ask_replica(
+                pool, 0, OP_PREDICT_MANY, {"model": "prod", "requests": graphs}
+            )
+            assert len(served) == len(graphs)
+            with pytest.raises(DeploymentQuarantinedError):
+                ask_replica(
+                    pool, 0, OP_PREDICT_MANY, {"model": "demo", "requests": graphs}
+                )
+            capacity = ask_replica(
+                pool, 0, OP_INTROSPECT, {"what": "capacity", "args": {"name": None}}
+            )
+            assert capacity["cost_model"] == cost_model
+            described = ask_replica(
+                pool, 0, OP_INTROSPECT, {"what": "describe", "args": {}}
+            )
+            assert described["default"] == "shadow"
+            assert described["aliases"] == {"prod": "shadow"}
+
+            # A reload rebuilds every replica from the newest version.
+            registry.save("shadow", small_predictor(seed=5))
+            pool.reload("shadow")
+            hub = ModelHub(root)
+            hub.load(DeploymentSpec(name="shadow", artifact="shadow"))
+            expected = hub.predict_many("shadow", graphs)
+            hub.stop()
+            for slot in (0, 1):
+                got = ask_replica(
+                    pool, slot, OP_PREDICT_MANY,
+                    {"model": "shadow", "requests": graphs},
+                )
+                for mine, theirs in zip(got, expected):
+                    np.testing.assert_array_equal(
+                        mine.probabilities, theirs.probabilities
+                    )
+            assert pool.predict("prod", graphs[0]).label == expected[0].label
+
+            # A pool with no default boots replicas with none either (a
+            # hub would make its first load the default).
+            pool.set_default(None)
+            victim = pool.replica_status()[1]["pid"]
+            os.kill(victim, signal.SIGKILL)
+            assert wait_until(
+                lambda: pool.replica_status()[1]["generation"] == 2
+                and pool.replica_status()[1]["state"] == "ready"
+            ), pool.replica_status()
+            replies = pool._introspect_broadcast("describe", {})
+            assert [reply["default"] for _, reply in replies] == [None, None]
 
 
 class TestDispatch:

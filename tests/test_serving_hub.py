@@ -436,6 +436,9 @@ class TestModelHub:
         assert hub.resolve(None).name == "b"
         with pytest.raises(DeploymentNotFoundError):
             hub.set_default("nope")
+        hub.set_default(None)
+        with pytest.raises(DeploymentNotFoundError, match="default"):
+            hub.resolve(None)
         hub.stop()
 
     def test_shared_cache_is_namespaced_per_model(self, registry_root, raw_graphs):
